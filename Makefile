@@ -3,7 +3,7 @@
 GO ?= go
 OUT ?= bench-out
 
-.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench bench-engine bench-obs bench-step bench-kernel fuzz-kernel sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
+.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench-smoke bench bench-engine bench-incpower bench-obs bench-step bench-kernel fuzz-kernel sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,12 @@ serve-smoke:
 serve-load:
 	$(GO) run ./cmd/powerserve -load specs/serve-load.json -out BENCH_serve.json
 
+# The end-to-end benchmark's own smoke and gate tests. benchmark/ is a
+# separate Go module (it replaces powergraph with this checkout), so the
+# root `go test ./...` does not reach it.
+bench-smoke:
+	$(GO) -C benchmark test -count=1 ./...
+
 # Go micro-benchmarks (bench_test.go and friends).
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
@@ -63,6 +69,13 @@ bench:
 # simulator's hot loop (see internal/congest/bench_test.go).
 bench-engine:
 	$(GO) test -bench=BenchmarkEngineModes -benchmem -run='^$$' ./internal/congest/
+
+# Splice-vs-rebuild grid for incremental Gʳ maintenance: one churn batch of
+# 8/64/512 edits on sparse n = 20k/80k graphs at r = 2, 3, brought up to date
+# by graph.IncrementalPower against a full Power(r) (ns/op and B/op; the
+# data behind the n/2 full-rebuild fallback).
+bench-incpower:
+	$(GO) test -bench=BenchmarkIncrementalPower -benchmem -run='^$$' ./internal/graph/
 
 # Observability overhead on the engine hot loop: nil tracer ("off") vs
 # span-only vs full per-round accounting (see

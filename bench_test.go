@@ -1,10 +1,10 @@
 package powergraph
 
-// The benchmark harness regenerates every experiment in EXPERIMENTS.md
-// (one bench per theorem/figure of the paper; see DESIGN.md §4 for the
-// index). Custom metrics attach the distributed cost measures that wall
-// time does not capture: simulated rounds, delivered bits, cut traffic,
-// and approximation ratios.
+// One Go benchmark per theorem/figure of the paper, the micro-benchmark
+// counterparts of the cmd/experiments tables (which print to stdout).
+// Custom metrics attach the distributed cost measures that wall time does
+// not capture: simulated rounds, delivered bits, cut traffic, and
+// approximation ratios.
 
 import (
 	"fmt"

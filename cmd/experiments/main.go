@@ -1,7 +1,7 @@
-// Command experiments regenerates every experiment table in EXPERIMENTS.md:
-// one experiment per theorem/figure of "Distributed Approximation on Power
-// Graphs" (PODC 2020). Each experiment prints the paper's claim and the
-// measured rows.
+// Command experiments prints one experiment table per theorem/figure of
+// "Distributed Approximation on Power Graphs" (PODC 2020) to stdout: each
+// experiment prints the paper's claim and the measured rows. The tables are
+// not checked in; rerun the command to regenerate them.
 //
 // Usage:
 //

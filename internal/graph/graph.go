@@ -1,6 +1,7 @@
 // Package graph provides the static undirected graph substrate used by every
-// other package in this repository: flat CSR adjacency storage (indptr /
-// indices arrays in the style of large-scale graph engines), vertex weights,
+// other package in this repository: flat CSR-style adjacency storage (a row
+// table over one neighbor slab, in the style of large-scale graph engines,
+// which churn successors extend copy-on-write), vertex weights,
 // power-graph (G², Gʳ) computation, generators, and basic traversal
 // algorithms. Dense-graph helpers (adjacency bitset rows) are kept for small
 // graphs, where O(n) bits per vertex is cheap, and elided above a size
@@ -15,7 +16,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"powergraph/internal/bitset"
 )
@@ -30,19 +31,26 @@ const rowsCutoff = 1 << 14
 // Graph is an immutable, simple (no self-loops, no multi-edges), undirected
 // graph on vertices {0, …, n-1} with optional positive vertex weights.
 //
-// Adjacency is stored once, in compressed sparse row form: indptr[v] ..
-// indptr[v+1] delimits v's sorted neighbor row inside indices. A widened
-// copy (flat) backs the []int views handed out by Adj so hot loops keep
-// zero-allocation access without converting element widths.
+// Adjacency lives in a row table over a neighbor slab: v's sorted neighbor
+// row is flat[lo[v]:hi[v]], and Adj hands that range out directly. On graphs
+// made by Build and Power the rows are laid out in vertex order and lo/hi
+// alias one CSR offset array, indptr. Churn successors (Overlay.Materialize,
+// IncrementalPower) copy the row table, append only their recomputed rows
+// to the parent's slab, and point those rows' entries at them, so a version
+// costs O(n) plus its dirty rows rather than a rewrite of every row. Such a
+// patched graph has no indptr; IndPtr and Indices rebuild the canonical
+// compact CSR on demand.
 //
-// All accessors are safe for concurrent use because the structure never
-// changes after Build.
+// All accessors are safe for concurrent use because a version never changes
+// after construction: successors only write slab entries past the end of
+// every existing version's view.
 type Graph struct {
 	n       int
 	m       int
-	indptr  []int32       // CSR row offsets, len n+1
-	indices []int32       // CSR neighbor ids, len 2m, sorted within each row
-	flat    []int         // same content as indices, widened; backs Adj views
+	lo, hi  []int32       // row table: v's neighbors are flat[lo[v]:hi[v]]
+	flat    []int         // this version's prefix of the slab
+	slab    *slab         // who may extend flat's backing array in place
+	indptr  []int32       // compact CSR offsets aliased by lo/hi; nil when patched
 	rows    []*bitset.Set // adjacency bitsets; nil when n > rowsCutoff
 	weights []int64       // per-vertex weights; nil means all weights are 1
 	names   []string      // optional debug names; nil means "v<i>"
@@ -149,58 +157,48 @@ func (b *Builder) Build() *Graph {
 	for v := 0; v < b.n; v++ {
 		indptr[v+1] += indptr[v]
 	}
-	indices := make([]int32, 2*len(b.edges))
+	flat := make([]int, 2*len(b.edges))
 	fill := make([]int32, b.n)
 	for e := range b.edges {
 		u, v := e[0], e[1]
-		indices[indptr[u]+fill[u]] = int32(v)
-		indices[indptr[v]+fill[v]] = int32(u)
+		flat[indptr[u]+fill[u]] = v
+		flat[indptr[v]+fill[v]] = u
 		fill[u]++
 		fill[v]++
 	}
-	g := &Graph{
-		n:       b.n,
-		m:       len(b.edges),
-		indptr:  indptr,
-		indices: indices,
-	}
 	for v := 0; v < b.n; v++ {
-		row := indices[indptr[v]:indptr[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(flat[indptr[v]:indptr[v+1]])
 	}
-	g.finish()
+	g := fromCSR(b.n, indptr, flat)
 	if b.weights != nil {
-		g.weights = make([]int64, b.n)
-		copy(g.weights, b.weights)
+		g.weights = slices.Clone(b.weights)
 	}
 	if b.names != nil {
-		g.names = make([]string, b.n)
-		copy(g.names, b.names)
+		g.names = slices.Clone(b.names)
 	}
 	return g
 }
 
-// finish derives the widened flat view and (below the cutoff) the bitset
-// rows from the already-sorted CSR arrays.
-func (g *Graph) finish() {
-	g.flat = make([]int, len(g.indices))
-	for i, u := range g.indices {
-		g.flat[i] = int(u)
+// fromCSR assembles a compact Graph from sorted CSR arrays (each row
+// strictly increasing, symmetric, no self-loops) and, below the cutoff,
+// derives its bitset rows. The bulk constructors — Build and the power
+// expansions — end here.
+func fromCSR(n int, indptr []int32, flat []int) *Graph {
+	g := &Graph{
+		n:      n,
+		m:      len(flat) / 2,
+		lo:     indptr[:n],
+		hi:     indptr[1:],
+		flat:   flat,
+		slab:   &slab{end: len(flat)},
+		indptr: indptr,
 	}
-	if g.n <= rowsCutoff {
-		g.rows = make([]*bitset.Set, g.n)
-		for v := 0; v < g.n; v++ {
-			g.rows[v] = bitset.FromIndices(g.n, g.Adj(v)...)
+	if n <= rowsCutoff {
+		g.rows = make([]*bitset.Set, n)
+		for v := 0; v < n; v++ {
+			g.rows[v] = bitset.FromIndices(n, g.Adj(v)...)
 		}
 	}
-}
-
-// fromCSR assembles a Graph directly from sorted CSR arrays (each row
-// strictly increasing, symmetric, no self-loops). Bulk constructors — the
-// bounded-BFS power expansion — use it to bypass the Builder's edge map.
-func fromCSR(n int, indptr, indices []int32) *Graph {
-	g := &Graph{n: n, m: len(indices) / 2, indptr: indptr, indices: indices}
-	g.finish()
 	return g
 }
 
@@ -211,38 +209,61 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return int(g.indptr[v+1] - g.indptr[v]) }
+func (g *Graph) Degree(v int) int { return int(g.hi[v] - g.lo[v]) }
 
 // MaxDegree returns the maximum degree Δ of the graph (0 for empty graphs).
 func (g *Graph) MaxDegree() int {
 	d := int32(0)
 	for v := 0; v < g.n; v++ {
-		if w := g.indptr[v+1] - g.indptr[v]; w > d {
+		if w := g.hi[v] - g.lo[v]; w > d {
 			d = w
 		}
 	}
 	return int(d)
 }
 
-// IndPtr returns the CSR row-offset array (length n+1) as a shared read-only
-// view: vertex v's neighbors occupy Indices()[IndPtr()[v]:IndPtr()[v+1]].
-func (g *Graph) IndPtr() []int32 { return g.indptr }
+// IndPtr returns the canonical CSR row-offset array (length n+1): vertex v's
+// neighbors occupy Indices()[IndPtr()[v]:IndPtr()[v+1]]. On a compact graph
+// it is a shared read-only view; on a patched churn successor it is rebuilt
+// from the row table on every call, in O(n).
+func (g *Graph) IndPtr() []int32 {
+	if g.indptr != nil {
+		return g.indptr
+	}
+	indptr := make([]int32, g.n+1)
+	for v := 0; v < g.n; v++ {
+		indptr[v+1] = indptr[v] + g.hi[v] - g.lo[v]
+	}
+	return indptr
+}
 
-// Indices returns the CSR neighbor array (length 2m, sorted within each row)
-// as a shared read-only view.
-func (g *Graph) Indices() []int32 { return g.indices }
+// Indices returns the canonical CSR neighbor array (length 2m, rows in
+// vertex order, sorted within each row). On a compact graph it is a shared
+// read-only view of the slab; on a patched churn successor it is gathered
+// from the row table on every call, in O(n + m).
+func (g *Graph) Indices() []int {
+	if g.indptr != nil {
+		return slices.Clip(g.flat)
+	}
+	out := make([]int, 0, 2*g.m)
+	for v := 0; v < g.n; v++ {
+		out = append(out, g.Adj(v)...)
+	}
+	return out
+}
 
 // NeighborRange returns the half-open [lo, hi) range of v's row inside
-// Indices — the allocation-free iteration form consumed by the engines.
+// Indices. It is O(1) on a compact graph and O(n) on a patched one.
 func (g *Graph) NeighborRange(v int) (lo, hi int32) {
-	return g.indptr[v], g.indptr[v+1]
+	indptr := g.IndPtr()
+	return indptr[v], indptr[v+1]
 }
 
 // Adj returns the sorted neighbor list of v as a shared read-only view into
-// the flat CSR buffer. Callers must not modify the returned slice; use
+// the neighbor slab. Callers must not modify the returned slice; use
 // Neighbors for a copy.
 func (g *Graph) Adj(v int) []int {
-	return g.flat[g.indptr[v]:g.indptr[v+1]:g.indptr[v+1]]
+	return g.flat[g.lo[v]:g.hi[v]:g.hi[v]]
 }
 
 // Neighbors returns a fresh copy of the sorted neighbor list of v.
@@ -276,18 +297,17 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if g.Degree(v) < g.Degree(u) {
 		u, v = v, u
 	}
-	row := g.indices[g.indptr[u]:g.indptr[u+1]]
-	t := int32(v)
+	row := g.Adj(u)
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if row[mid] < t {
+		if row[mid] < v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo < len(row) && row[lo] == t
+	return lo < len(row) && row[lo] == v
 }
 
 // Weighted reports whether the graph carries non-default vertex weights.

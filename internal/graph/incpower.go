@@ -26,9 +26,12 @@ const incPowerFullFraction = 2
 //     (i.e. oldView.Power(r) for view = oldView ± edits),
 //   - the batch of edits itself,
 //
-// it returns a graph byte-identical to view.Power(r) — same CSR arrays,
-// weights, and names — by recomputing only the rows of *dirty* vertices and
-// splicing the rest from oldPower.
+// it returns a graph whose canonical CSR (IndPtr, Indices), weights and
+// names are identical to view.Power(r)'s, by recomputing only the rows of
+// *dirty* vertices and sharing the rest with oldPower. The cost is O(n) plus
+// the dirty work (the dirty-region BFS and the recomputed rows), plus an
+// amortized share of slab compaction (see withRows); oldPower stays valid
+// and unchanged.
 //
 // The dirty-region invariant: if the Gʳ row of a vertex w differs between
 // oldView and view, then some path of length ≤ r from w runs through a
@@ -37,8 +40,8 @@ const incPowerFullFraction = 2
 // graph (view plus the batch-deleted edges, a supergraph of both oldView and
 // view), whose distances lower-bound both, making the computed dirty set a
 // superset of every vertex whose row can have changed. Clean rows are
-// spliced verbatim; since every Power construction emits sorted rows, the
-// splice is byte-exact.
+// shared verbatim; since every Power construction emits sorted rows, the
+// result is exact.
 //
 // When the dirty set exceeds 1/incPowerFullFraction of the vertices the
 // function falls back to view.Power(r) outright (Stats.Full reports this);
@@ -58,96 +61,54 @@ func IncrementalPower(view, oldPower *Graph, r int, edits []EdgeEdit) (*Graph, I
 	// Adjacency of the union graph = view plus batch-deleted edges. Inserted
 	// edges are already in view; deleted edges are re-attached here so the
 	// BFS can also follow paths that existed only before the batch.
-	extra := make(map[int][]int32)
+	extra := make(map[int][]int)
 	for _, e := range edits {
 		if e.Del {
-			extra[e.U] = append(extra[e.U], int32(e.V))
-			extra[e.V] = append(extra[e.V], int32(e.U))
+			extra[e.U] = append(extra[e.U], e.V)
+			extra[e.V] = append(extra[e.V], e.U)
 		}
 	}
 
 	// Multi-source BFS to depth r-1 from every churned endpoint.
 	dirty := make([]bool, n)
-	var cur, next []int32
-	seed := func(v int) {
-		if !dirty[v] {
-			dirty[v] = true
-			cur = append(cur, int32(v))
+	var vs, cur, next []int
+	mark := func(w int) {
+		if !dirty[w] {
+			dirty[w] = true
+			vs = append(vs, w)
+			next = append(next, w)
 		}
 	}
 	for _, e := range edits {
-		seed(e.U)
-		seed(e.V)
+		mark(e.U)
+		mark(e.V)
 	}
-	nDirty := len(cur)
+	cur, next = next, cur
 	for depth := 0; depth < r-1 && len(cur) > 0; depth++ {
 		next = next[:0]
 		for _, u := range cur {
-			lo, hi := view.indptr[u], view.indptr[u+1]
-			for _, w := range view.indices[lo:hi] {
-				if !dirty[w] {
-					dirty[w] = true
-					nDirty++
-					next = append(next, w)
-				}
+			for _, w := range view.Adj(u) {
+				mark(w)
 			}
-			for _, w := range extra[int(u)] {
-				if !dirty[w] {
-					dirty[w] = true
-					nDirty++
-					next = append(next, w)
-				}
+			for _, w := range extra[u] {
+				mark(w)
 			}
 		}
 		cur, next = next, cur
 	}
+	nDirty := len(vs)
 
 	if nDirty*incPowerFullFraction > n {
 		return view.Power(r), IncPowerStats{Dirty: nDirty, Full: true}
 	}
 
-	// Splice: recomputed sorted rows for dirty vertices (the same bounded
-	// BFS powerBFS runs, so rows come out identical), verbatim oldPower rows
-	// for clean ones.
-	indptr := make([]int32, n+1)
-	indices := make([]int32, 0, len(oldPower.indices))
+	// Recompute the dirty rows by the same bounded BFS powerBFS runs, so
+	// they come out identical to a full rebuild's.
+	slices.Sort(vs)
 	visited := make([]int32, n)
-	var bcur, bnext []int32
-	for v := 0; v < n; v++ {
-		if !dirty[v] {
-			indices = append(indices, oldPower.indices[oldPower.indptr[v]:oldPower.indptr[v+1]]...)
-			indptr[v+1] = int32(len(indices))
-			continue
-		}
-		epoch := int32(v + 1)
-		visited[v] = epoch
-		bcur = append(bcur[:0], int32(v))
-		rowStart := len(indices)
-		for depth := 0; depth < r && len(bcur) > 0; depth++ {
-			bnext = bnext[:0]
-			for _, u := range bcur {
-				lo, hi := view.indptr[u], view.indptr[u+1]
-				for _, w := range view.indices[lo:hi] {
-					if visited[w] != epoch {
-						visited[w] = epoch
-						bnext = append(bnext, w)
-						indices = append(indices, w)
-					}
-				}
-			}
-			bcur, bnext = bnext, bcur
-		}
-		slices.Sort(indices[rowStart:])
-		indptr[v+1] = int32(len(indices))
-	}
-	p := fromCSR(n, indptr, indices)
-	if view.weights != nil {
-		p.weights = make([]int64, n)
-		copy(p.weights, view.weights)
-	}
-	if view.names != nil {
-		p.names = make([]string, n)
-		copy(p.names, view.names)
-	}
+	p := oldPower.withRows(vs, func(dst []int, v int) []int {
+		return appendBall(view, dst, v, r, visited, &cur, &next)
+	})
+	p.weights, p.names = view.weights, view.names
 	return p, IncPowerStats{Dirty: nDirty}
 }

@@ -14,9 +14,11 @@ type EdgeEdit struct {
 
 // Overlay is a mutable delta view over an immutable base Graph: edge
 // insertions and deletions are staged in per-vertex delta sets and merged
-// with the base CSR rows on Materialize. The base never changes, so
-// previously materialized graphs (and anything derived from them — power
-// graphs, running simulations) stay valid while the overlay keeps moving.
+// with the base rows on Materialize, which rebuilds only the rows of
+// vertices touched since the previous Materialize. The base and every
+// materialized graph never change, so previously materialized graphs (and
+// anything derived from them — power graphs, running simulations) stay valid
+// while the overlay keeps moving.
 //
 // Invariants maintained by Insert/Delete:
 //
@@ -35,6 +37,8 @@ type Overlay struct {
 	added   map[int]map[int]struct{} // v -> neighbors added to v's row
 	removed map[int]map[int]struct{} // v -> neighbors removed from v's row
 	pending int                      // staged edge-level differences from base
+	view    *Graph                   // the last materialized view (base until the first)
+	touched map[int]struct{}         // vertices whose rows changed since view
 }
 
 // NewOverlay returns an overlay with no staged edits over base.
@@ -43,6 +47,8 @@ func NewOverlay(base *Graph) *Overlay {
 		base:    base,
 		added:   make(map[int]map[int]struct{}),
 		removed: make(map[int]map[int]struct{}),
+		view:    base,
+		touched: make(map[int]struct{}),
 	}
 }
 
@@ -130,6 +136,7 @@ func (o *Overlay) Delete(u, v int) error {
 }
 
 func (o *Overlay) stage(m map[int]map[int]struct{}, u, v int) {
+	o.touch(u, v)
 	for _, p := range [2][2]int{{u, v}, {v, u}} {
 		s := m[p[0]]
 		if s == nil {
@@ -141,12 +148,19 @@ func (o *Overlay) stage(m map[int]map[int]struct{}, u, v int) {
 }
 
 func (o *Overlay) unstage(m map[int]map[int]struct{}, u, v int) {
+	o.touch(u, v)
 	for _, p := range [2][2]int{{u, v}, {v, u}} {
 		delete(m[p[0]], p[1])
 		if len(m[p[0]]) == 0 {
 			delete(m, p[0])
 		}
 	}
+}
+
+// touch marks the rows of u and v for rebuilding on the next Materialize.
+func (o *Overlay) touch(u, v int) {
+	o.touched[u] = struct{}{}
+	o.touched[v] = struct{}{}
 }
 
 // Apply stages every edit in order. On the first failure it rolls back the
@@ -180,47 +194,41 @@ func (o *Overlay) Apply(edits []EdgeEdit) error {
 	return nil
 }
 
-// viewRow returns the sorted neighbor row of v in the current view.
-func (o *Overlay) viewRow(v int, buf []int32) []int32 {
-	row := buf[:0]
+// appendViewRow appends the sorted neighbor row of v in the current view.
+func (o *Overlay) appendViewRow(dst []int, v int) []int {
+	start := len(dst)
 	rem := o.removed[v]
-	for _, u := range o.base.indices[o.base.indptr[v]:o.base.indptr[v+1]] {
-		if _, gone := rem[int(u)]; !gone {
-			row = append(row, u)
+	for _, u := range o.base.Adj(v) {
+		if _, gone := rem[u]; !gone {
+			dst = append(dst, u)
 		}
 	}
 	for u := range o.added[v] {
-		row = append(row, int32(u))
+		dst = append(dst, u)
 	}
-	slices.Sort(row)
-	return row
+	slices.Sort(dst[start:])
+	return dst
 }
 
-// Materialize builds an immutable Graph of the current view by merging the
-// staged deltas with the base CSR rows. Weights and names carry over from
-// the base. The overlay keeps its deltas; use Compact to also adopt the
-// result as the new base.
+// Materialize returns an immutable Graph of the current view. Only the rows
+// of vertices touched since the previous Materialize are merged from the
+// base row and the staged deltas; the result shares every other row, and
+// the base's weights and names, with the previous view, at a cost of O(n)
+// plus the touched rows (see withRows). With nothing touched it returns the
+// previous view itself. The overlay keeps its deltas; use Compact to also
+// adopt the result as the new base.
 func (o *Overlay) Materialize() *Graph {
-	n := o.base.n
-	indptr := make([]int32, n+1)
-	indices := make([]int32, 0, len(o.base.indices)+2*o.pending)
-	var buf []int32
-	for v := 0; v < n; v++ {
-		row := o.viewRow(v, buf)
-		indices = append(indices, row...)
-		indptr[v+1] = int32(len(indices))
-		buf = row // reuse backing array across rows
+	if len(o.touched) == 0 {
+		return o.view
 	}
-	g := fromCSR(n, indptr, indices)
-	if o.base.weights != nil {
-		g.weights = make([]int64, n)
-		copy(g.weights, o.base.weights)
+	vs := make([]int, 0, len(o.touched))
+	for v := range o.touched {
+		vs = append(vs, v)
 	}
-	if o.base.names != nil {
-		g.names = make([]string, n)
-		copy(g.names, o.base.names)
-	}
-	return g
+	slices.Sort(vs)
+	o.view = o.view.withRows(vs, o.appendViewRow)
+	clear(o.touched)
+	return o.view
 }
 
 // Compact adopts view (which must be a graph previously returned by
@@ -229,7 +237,9 @@ func (o *Overlay) Materialize() *Graph {
 // threshold so view-row merging stays cheap under sustained churn.
 func (o *Overlay) Compact(view *Graph) {
 	o.base = view
+	o.view = view
 	o.added = make(map[int]map[int]struct{})
 	o.removed = make(map[int]map[int]struct{})
+	clear(o.touched)
 	o.pending = 0
 }

@@ -38,14 +38,7 @@ func (g *Graph) Power(r int) *Graph {
 	} else {
 		p = g.powerBFS(r)
 	}
-	if g.weights != nil {
-		p.weights = make([]int64, g.n)
-		copy(p.weights, g.weights)
-	}
-	if g.names != nil {
-		p.names = make([]string, g.n)
-		copy(p.names, g.names)
-	}
+	p.weights, p.names = g.weights, g.names // immutable, so shared
 	return p
 }
 
@@ -73,56 +66,73 @@ func (g *Graph) powerDense(r int) *Graph {
 	for v := 0; v < g.n; v++ {
 		total += reach[v].Count() - 1 // ball minus v itself
 	}
-	indices := make([]int32, 0, total)
+	flat := make([]int, 0, total)
 	for v := 0; v < g.n; v++ {
 		reach[v].ForEach(func(u int) bool {
 			if u != v {
-				indices = append(indices, int32(u))
+				flat = append(flat, u)
 			}
 			return true
 		})
-		indptr[v+1] = int32(len(indices))
+		indptr[v+1] = int32(len(flat))
 	}
-	return fromCSR(g.n, indptr, indices)
+	return fromCSR(g.n, indptr, flat)
 }
 
 // powerBFS computes each vertex's radius-r ball with a bounded breadth-first
-// search over the CSR arrays, writing the result CSR directly: no per-vertex
-// sets, no intermediate adjacency maps, no Builder edge map. The visited
-// array is epoch-stamped so it is cleared once, not once per vertex, keeping
-// the whole construction alloc-flat (a handful of amortized slice growths
-// regardless of n — see BenchmarkPowerSparse and TestPowerSparseAllocsFlat).
+// search over the neighbor slab, writing the result CSR directly: no
+// per-vertex sets, no intermediate adjacency maps, no Builder edge map. The
+// visited array is epoch-stamped so it is cleared once, not once per vertex,
+// keeping the whole construction alloc-flat (a handful of amortized slice
+// growths regardless of n — see BenchmarkPowerSparse and
+// TestPowerSparseAllocsFlat). The rows' total size is unknown until the
+// sweep ends, so they grow in a transient int32 buffer, half the bytes to
+// copy per growth, and are widened once into the exact-size slab.
 func (g *Graph) powerBFS(r int) *Graph {
 	indptr := make([]int32, g.n+1)
-	indices := make([]int32, 0, len(g.indices))
+	rows := make([]int32, 0, 2*g.m)
 	visited := make([]int32, g.n) // epoch mark: visited[u] == v+1 ⇔ u in v's ball
-	var cur, next []int32
+	var cur, next []int
 	for v := 0; v < g.n; v++ {
-		epoch := int32(v + 1)
-		visited[v] = epoch
-		cur = append(cur[:0], int32(v))
-		rowStart := len(indices)
-		for depth := 0; depth < r && len(cur) > 0; depth++ {
-			next = next[:0]
-			for _, u := range cur {
-				lo, hi := g.indptr[u], g.indptr[u+1]
-				for _, w := range g.indices[lo:hi] {
-					if visited[w] != epoch {
-						visited[w] = epoch
-						next = append(next, w)
-						indices = append(indices, w)
-					}
+		rows = appendBall(g, rows, v, r, visited, &cur, &next)
+		indptr[v+1] = int32(len(rows))
+	}
+	flat := make([]int, len(rows))
+	for i, u := range rows {
+		flat[i] = int(u)
+	}
+	return fromCSR(g.n, indptr, flat)
+}
+
+// appendBall appends v's Gʳ row in g — every vertex at distance 1…r from v,
+// sorted — to dst by a bounded BFS. visited is epoch-stamped with v+1, so
+// the caller needs no clearing between vertices as long as it passes each
+// vertex at most once per visited array; cur and next are reusable frontier
+// buffers. Power and IncrementalPower share it, so their rows agree.
+func appendBall[T int | int32](g *Graph, dst []T, v, r int, visited []int32, cur, next *[]int) []T {
+	epoch := int32(v + 1)
+	visited[v] = epoch
+	c := append((*cur)[:0], v)
+	nx := *next
+	rowStart := len(dst)
+	for depth := 0; depth < r && len(c) > 0; depth++ {
+		nx = nx[:0]
+		for _, u := range c {
+			for _, w := range g.Adj(u) {
+				if visited[w] != epoch {
+					visited[w] = epoch
+					nx = append(nx, w)
+					dst = append(dst, T(w))
 				}
 			}
-			cur, next = next, cur
 		}
-		// slices.Sort, not sort.Slice: the reflection-based sorter
-		// allocates per call, which would turn the sweep's allocation
-		// count O(n).
-		slices.Sort(indices[rowStart:])
-		indptr[v+1] = int32(len(indices))
+		c, nx = nx, c
 	}
-	return fromCSR(g.n, indptr, indices)
+	// slices.Sort, not sort.Slice: the reflection-based sorter allocates
+	// per call, which would turn the sweep's allocation count O(n).
+	slices.Sort(dst[rowStart:])
+	*cur, *next = c, nx
+	return dst
 }
 
 // InducedSubgraph returns the subgraph of g induced by the vertex set keep,

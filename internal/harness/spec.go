@@ -6,9 +6,10 @@
 // aggregating approximation-ratio and round/message/bit statistics per
 // scenario cell.
 //
-// The subsystem exists so that every sweep in the repo — the EXPERIMENTS.md
-// presets, cmd/powerbench, and future perf PRs — reports numbers through the
-// same deterministic machinery instead of hand-rolled serial loops.
+// The subsystem exists so that every sweep in the repo — the cmd/experiments
+// presets (whose tables print to stdout), cmd/powerbench, and future
+// performance work — reports numbers through the same deterministic
+// machinery instead of hand-rolled serial loops.
 //
 // Determinism contract: a fixed Spec (including RootSeed) produces
 // byte-identical JSONL output regardless of worker count.  Per-job seeds are

@@ -5,11 +5,13 @@
 //
 // The layer's central object is the Instance — a resident graph made of the
 // delta-overlay of internal/graph plus the power graphs Gʳ the queries have
-// touched. Edge churn goes through graph.IncrementalPower, which recomputes
-// only the Gʳ rows within distance r-1 of the churned endpoints and splices
-// the rest, so a small batch against a large graph costs O(affected region)
-// instead of O(n·m); the result is byte-identical to a full Power(r)
-// recompute (the churn property tests assert this at every step). Exact
+// touched. Edge churn goes through graph.Overlay.Materialize, which rebuilds
+// only the churned endpoints' rows of the view, and graph.IncrementalPower,
+// which recomputes only the Gʳ rows within distance r-1 of the churned
+// endpoints; both share every other row with the previous version. The
+// result's canonical CSR is identical to a full Power(r) recompute (the
+// churn property tests assert this at every step), and a batch costs
+// O(n + dirty work) plus amortized slab compaction instead of O(n·m). Exact
 // oracle queries ride the component-level cache of kernel.Incremental, which
 // keys solves by component content and therefore survives churn: only
 // components that actually changed pay the exponential solver again.

@@ -57,8 +57,9 @@
 //	    -sizes 32,64 -algorithms mvc-congest,mvc-clique-rand -trials 3
 //
 // which writes <name>.jsonl, <name>.csv and an aggregated
-// BENCH_<name>.json summary, and the EXPERIMENTS.md presets in
-// ./cmd/experiments, which pin explicit per-job seeds through RunJobs.
+// BENCH_<name>.json summary, and the experiment presets in
+// ./cmd/experiments, which pin explicit per-job seeds through RunJobs and
+// print their tables to stdout.
 package powergraph
 
 import (
