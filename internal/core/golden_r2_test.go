@@ -41,7 +41,7 @@ import (
 // among equal-cost optima), the right fix is to regenerate with the flag and
 // say so in the commit — cost drift, by contrast, is always a bug.
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_r2.json from the current implementation")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_r2.json and testdata/golden_r34.json from the current implementation")
 
 // goldenRecord is one cell of the seed matrix: everything observable about a
 // run that must survive the Gʳ generalization unchanged.
@@ -121,14 +121,42 @@ func goldenRecordOf(res *Result) goldenRecord {
 // TestGoldenR2Regression runs the whole seed matrix under both engines and
 // compares every record against testdata/golden_r2.json.
 func TestGoldenR2Regression(t *testing.T) {
+	got := runGoldenMatrix(t, 0, func(aName, gName string) string {
+		return fmt.Sprintf("%s|%s|seed7", aName, gName)
+	})
+	checkGolden(t, goldenPath(t), got)
+}
+
+// TestGoldenR34Regression pins the same matrix at r = 3 and r = 4 against
+// testdata/golden_r34.json. Those powers take the paths the r = 2 fixture
+// never reaches — the routed exact vote flood of Theorem 28, the sparsified
+// Phase-II gather — so refactors of their per-phase state are guarded the
+// same way. Regenerate with the same -update-golden flag.
+func TestGoldenR34Regression(t *testing.T) {
+	got := make(map[string]goldenRecord)
+	for _, r := range []int{3, 4} {
+		for key, rec := range runGoldenMatrix(t, r, func(aName, gName string) string {
+			return fmt.Sprintf("%s|%s|r%d|seed7", aName, gName, r)
+		}) {
+			got[key] = rec
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "golden_r34.json"), got)
+}
+
+// runGoldenMatrix runs every golden algorithm on every golden graph at power
+// r (0 = the default r = 2) under both engines, plus a replay with the
+// legacy raw exact solver pinned, and returns the records keyed by key.
+func runGoldenMatrix(t *testing.T, r int, key func(aName, gName string) string) map[string]goldenRecord {
+	t.Helper()
 	graphs := goldenGraphs()
 	got := make(map[string]goldenRecord)
 	for gName, g := range graphs {
 		for aName, run := range goldenAlgorithms {
-			key := fmt.Sprintf("%s|%s|seed7", aName, gName)
+			key := key(aName, gName)
 			var records [2]goldenRecord
 			for i, engine := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-				res, err := run(g, &Options{Seed: 7, Engine: engine})
+				res, err := run(g, &Options{Seed: 7, Engine: engine, Power: r})
 				if err != nil {
 					t.Fatalf("%s (%s): %v", key, engine, err)
 				}
@@ -140,7 +168,7 @@ func TestGoldenR2Regression(t *testing.T) {
 			// The default (kernel-exact) and the pinned legacy raw exact
 			// solver must be byte-identical on the golden matrix: the
 			// ladder's direct path guarantees it below DefaultDirectN.
-			legacy, err := run(g, &Options{Seed: 7, Engine: congest.EngineBatch, LocalSolver: exact.VertexCover})
+			legacy, err := run(g, &Options{Seed: 7, Engine: congest.EngineBatch, Power: r, LocalSolver: exact.VertexCover})
 			if err != nil {
 				t.Fatalf("%s (legacy solver): %v", key, err)
 			}
@@ -151,24 +179,30 @@ func TestGoldenR2Regression(t *testing.T) {
 			got[key] = records[0]
 		}
 	}
+	return got
+}
 
+// checkGolden compares got against the fixture at path, or rewrites the
+// fixture under -update-golden.
+func checkGolden(t *testing.T, path string, got map[string]goldenRecord) {
+	t.Helper()
 	if *updateGolden {
 		// json.Marshal sorts map keys, so the file is stable across runs.
 		payload, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath(t)), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath(t), append(payload, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(payload, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d golden records to %s", len(got), goldenPath(t))
+		t.Logf("wrote %d golden records to %s", len(got), path)
 		return
 	}
 
-	raw, err := os.ReadFile(goldenPath(t))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden file (regenerate with -update-golden from a known-good commit): %v", err)
 	}
@@ -186,7 +220,7 @@ func TestGoldenR2Regression(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(w, g) {
-			t.Errorf("%s: r = 2 behavior drifted:\ngolden:  %+v\ncurrent: %+v", key, w, g)
+			t.Errorf("%s: behavior drifted:\ngolden:  %+v\ncurrent: %+v", key, w, g)
 		}
 	}
 	for key := range got {
