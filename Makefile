@@ -3,7 +3,7 @@
 GO ?= go
 OUT ?= bench-out
 
-.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench-smoke bench bench-engine bench-incpower bench-obs bench-step bench-kernel fuzz-kernel sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
+.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench-smoke bench bench-engine bench-incpower bench-obs bench-step bench-kernel fuzz-kernel fuzz-graph sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
 
 build:
 	$(GO) build ./...
@@ -17,11 +17,12 @@ test: vet docs-check
 race:
 	$(GO) test -race ./...
 
-# Race-detector pass over the engine differential and the step-vs-blocking
-# equivalence tests only (small n, a few minutes) — the CI race job.
+# Race-detector pass over the engine differential, the step-vs-blocking
+# equivalence tests and the restarted-vs-fresh step primitives only (small
+# n, a few minutes) — the CI race job.
 race-diff:
 	$(GO) test -race -count=1 \
-		-run 'TestEngineDifferentialAllAlgorithms|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesMatchBlocking|TestRegistryRunsNativelyOnBatchEngine|TestSharded' \
+		-run 'TestEngineDifferentialAllAlgorithms|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesMatchBlocking|TestStepPrimitivesRestartMatchesFresh|TestRegistryRunsNativelyOnBatchEngine|TestSharded' \
 		./internal/congest/... ./internal/core/ ./internal/harness/
 
 # Race-detector pass over the shard barrier specifically: the sharded batch
@@ -101,6 +102,12 @@ bench-kernel:
 # bound on arbitrary graph encodings) — the CI smoke configuration.
 fuzz-kernel:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLiftFeasible -fuzztime=20s ./internal/kernel/
+
+# Short fuzz pass over the edge-list decoder the server runs on untrusted
+# bodies (an error or a graph within the vertex limit, and a lossless
+# write/re-read round trip) — the CI smoke configuration.
+fuzz-graph:
+	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeListLimit -fuzztime=20s ./internal/graph/
 
 # Full scenario sweep through the experiment harness; override SPEC to point
 # at another matrix, e.g. `make sweep SPEC=specs/power-sweep.json`.

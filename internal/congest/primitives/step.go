@@ -29,6 +29,15 @@ import (
 // its blocking counterpart, so a program assembled from these stages is
 // indistinguishable — outputs and statistics — from the blocking handler it
 // replaces; TestStepPrimitivesMatchBlocking checks exactly that.
+//
+// The primitives a program runs over and over — the hop maxima and the
+// estimator floods of Theorem 28 — are values that restart in place: the
+// zero value is ready, Restart takes the constructor's arguments and begins
+// a fresh run (each New* constructor is new plus Restart), and a restarted
+// primitive keeps the buffers it grew. A program that embeds them by value
+// therefore allocates nothing per flood in steady state beyond boxing the
+// messages it sends; TestStepPrimitivesRestartMatchesFresh holds every
+// restarted run to a freshly constructed one.
 
 // StepMinIDLeader is the step form of MinIDLeader: n slices of minimum-id
 // flooding, done on slice n.
@@ -362,7 +371,8 @@ func (s *StepFloodItemsFromRoot) Items() []congest.Message { return s.got }
 // node sends every hop). After k hops each node holds the maximum over its
 // closed k-hop neighborhood. A positive width fixes the message size;
 // width ≤ 0 sends natural-width messages, the wire format of TwoHopMax.
-// Done on slice k.
+// Done on slice k. The zero value is ready for Restart, so programs embed it
+// by value and restart it in place instead of allocating one per flood.
 type StepHopMax struct {
 	m    int64
 	w, k int
@@ -371,7 +381,15 @@ type StepHopMax struct {
 
 // NewStepHopMax starts a k-hop maximum of value with width-bit messages.
 func NewStepHopMax(value int64, width, hops int) *StepHopMax {
-	return &StepHopMax{m: value, w: width, k: hops}
+	s := new(StepHopMax)
+	s.Restart(value, width, hops)
+	return s
+}
+
+// Restart begins a fresh k-hop maximum of value in place, exactly as
+// NewStepHopMax(value, width, hops) would.
+func (s *StepHopMax) Restart(value int64, width, hops int) {
+	*s = StepHopMax{m: value, w: width, k: hops}
 }
 
 // NewStepTwoHopMax is the step form of TwoHopMax (2 natural-width flood
@@ -388,7 +406,7 @@ func NewStepRHopMax(value int64, hops int) *StepHopMax {
 	if hops < 1 {
 		panicCollective(fmt.Sprintf("primitives: NewStepRHopMax with hops %d < 1", hops))
 	}
-	return &StepHopMax{m: value, k: hops}
+	return NewStepHopMax(value, 0, hops)
 }
 
 // Step advances one round-slice.
@@ -419,7 +437,7 @@ func (s *StepHopMax) Max() int64 { return s.m }
 // estimator building block of Theorem 28's greedy-cover simulation: nodes
 // holding a sample (own ≥ 0) broadcast it with a fixed width, and every node
 // ends with the minimum of its own value and everything received (-1 when it
-// saw nothing). Done on slice 1.
+// saw nothing). Done on slice 1. The zero value is ready for Restart.
 type StepMinFlood struct {
 	best  int64
 	width int
@@ -428,7 +446,15 @@ type StepMinFlood struct {
 
 // NewStepMinFlood starts a min-flood contributing own (-1 = no sample).
 func NewStepMinFlood(own int64, width int) *StepMinFlood {
-	return &StepMinFlood{best: own, width: width}
+	s := new(StepMinFlood)
+	s.Restart(own, width)
+	return s
+}
+
+// Restart begins a fresh min-flood in place, exactly as
+// NewStepMinFlood(own, width) would.
+func (s *StepMinFlood) Restart(own int64, width int) {
+	*s = StepMinFlood{best: own, width: width}
 }
 
 // Step advances one round-slice.
@@ -468,30 +494,39 @@ func (m RankID) Bits() int { return m.WidthR + m.WidthI }
 // StepRankFlood is one round of lexicographic (rank, id) minimum aggregation
 // over G-neighbors; rank < 0 means "no value". It also records which
 // neighbors sent a value (the first hop of Theorem 28's voting uses this to
-// detect neighboring candidates). Done on slice 1.
+// detect neighboring candidates). Done on slice 1. The zero value is ready
+// for Restart, which keeps the sender buffer of the previous flood.
 type StepRankFlood struct {
 	rank, id int64
 	wR, wI   int
-	senders  map[int]bool
+	senders  []int
 	bestFrom int
 	r        int
 }
 
 // NewStepRankFlood starts a rank-flood contributing (rank, id).
 func NewStepRankFlood(rank, id int64, rankW, idW int) *StepRankFlood {
-	return &StepRankFlood{rank: rank, id: id, wR: rankW, wI: idW, bestFrom: -1}
+	s := new(StepRankFlood)
+	s.Restart(rank, id, rankW, idW)
+	return s
+}
+
+// Restart begins a fresh rank-flood in place, exactly as
+// NewStepRankFlood(rank, id, rankW, idW) would; the previous flood's
+// Senders slice is overwritten.
+func (s *StepRankFlood) Restart(rank, id int64, rankW, idW int) {
+	*s = StepRankFlood{rank: rank, id: id, wR: rankW, wI: idW, senders: s.senders[:0], bestFrom: -1}
 }
 
 // Step advances one round-slice.
 func (s *StepRankFlood) Step(nd *congest.Node) bool {
 	if s.r == 1 {
-		s.senders = make(map[int]bool)
 		for _, in := range nd.Recv() {
 			m, ok := in.Msg.(RankID)
 			if !ok {
 				continue
 			}
-			s.senders[in.From] = true
+			s.senders = append(s.senders, in.From)
 			if s.rank < 0 || m.Rank < s.rank || (m.Rank == s.rank && m.ID < s.id) {
 				s.rank, s.id = m.Rank, m.ID
 				s.bestFrom = in.From
@@ -513,8 +548,11 @@ func (s *StepRankFlood) Step(nd *congest.Node) bool {
 // was seen. Valid once done.
 func (s *StepRankFlood) Best() (rank, id int64) { return s.rank, s.id }
 
-// Senders reports which neighbors sent a value this flood; valid once done.
-func (s *StepRankFlood) Senders() map[int]bool { return s.senders }
+// Senders returns the neighbors that sent a value this flood, in ascending
+// id order (inboxes arrive sorted by sender); valid once done. The slice is
+// the flood's own buffer: Restart overwrites it, so a caller keeping the
+// senders across floods copies them.
+func (s *StepRankFlood) Senders() []int { return s.senders }
 
 // BestFrom returns the neighbor whose message set the final best this flood,
 // or -1 when the flood left the best unchanged. Chained rank floods use it
@@ -544,6 +582,9 @@ type CandRoute struct {
 	Cand, From, Lvl int
 }
 
+// candQ is one candidate's running vote minimum.
+type candQ struct{ cand, q int64 }
+
 // StepCandidateMinFlood is the r-round per-candidate minimum flood of
 // Theorem 28's vote estimation (the congestion-avoiding trick of
 // Section 6.1), generalized to depth-r collection for the Gʳ pipeline:
@@ -565,25 +606,37 @@ type CandRoute struct {
 // per slice: zero congestion, every sample delivered, the Theorem-28
 // estimate exact for every supported r (the conservative hops ≥ 3 spread
 // this schedule replaces survives only in git history).
+//
+// The r estimator repetitions of one phase share everything but the voter's
+// sample, so the flood separates the two: Prepare or PrepareRoutes installs
+// (and validates) a phase's schedule once, and Restart(own) starts each
+// flood of that phase in place. The per-candidate minima live in a reused
+// slice searched linearly — a node sees at most deg + 1 candidates on the
+// broadcast schedule and at most hops + 1 on the routed one — so a program
+// embedding the flood by value allocates nothing per flood in steady state.
 type StepCandidateMinFlood struct {
+	// Per-phase schedule, installed by Prepare or PrepareRoutes.
 	voteFor   int
-	own       int64
-	candNbrs  map[int]bool
-	byLvl     map[int]CandRoute
+	candNbrs  []int       // broadcast schedule: candidate G-neighbors, ascending
+	byLvl     []CandRoute // routed schedule: the route at each level 0..hops, Lvl -1 where none
+	routed    bool
 	candidate bool
 	wC, wQ    int
 	hops      int
-	perCand   map[int64]int64
-	best      int64
-	r         int
+
+	// Per-flood state, reset by Restart.
+	own     int64
+	perCand []candQ
+	best    int64
+	r       int
 }
 
 // NewStepCandidateMinFlood starts one two-hop vote-estimation flood (the
 // paper's G² case): voteFor is the candidate this node contributes to
 // (-1 = none), own its quantized sample (-1 = none), candNbrs the
-// G-neighbors known to be candidates, and candidate whether this node
-// collects a minimum for itself.
-func NewStepCandidateMinFlood(voteFor int, own int64, candNbrs map[int]bool, candidate bool, candW, sampleW int) *StepCandidateMinFlood {
+// G-neighbors known to be candidates in ascending order, and candidate
+// whether this node collects a minimum for itself.
+func NewStepCandidateMinFlood(voteFor int, own int64, candNbrs []int, candidate bool, candW, sampleW int) *StepCandidateMinFlood {
 	return NewStepCandidateMinFloodR(voteFor, own, candNbrs, candidate, candW, sampleW, 2)
 }
 
@@ -593,17 +646,11 @@ func NewStepCandidateMinFlood(voteFor int, own int64, candNbrs map[int]bool, can
 // routes via NewStepCandidateMinFloodRoutes — the broadcast schedule cannot
 // carry every candidate's minimum across ≥ 3 hops within the bandwidth
 // budget, and the conservative fallback it used to degrade to is retired.
-func NewStepCandidateMinFloodR(voteFor int, own int64, candNbrs map[int]bool, candidate bool, candW, sampleW, hops int) *StepCandidateMinFlood {
-	if hops < 1 {
-		panicCollective(fmt.Sprintf("primitives: NewStepCandidateMinFloodR with hops %d < 1", hops))
-	}
-	if hops > 2 {
-		panicCollective(fmt.Sprintf("primitives: NewStepCandidateMinFloodR with hops %d > 2 (use NewStepCandidateMinFloodRoutes)", hops))
-	}
-	return &StepCandidateMinFlood{
-		voteFor: voteFor, own: own, candNbrs: candNbrs, candidate: candidate,
-		wC: candW, wQ: sampleW, hops: hops, best: -1,
-	}
+func NewStepCandidateMinFloodR(voteFor int, own int64, candNbrs []int, candidate bool, candW, sampleW, hops int) *StepCandidateMinFlood {
+	s := new(StepCandidateMinFlood)
+	s.Prepare(voteFor, candNbrs, candidate, candW, sampleW, hops)
+	s.Restart(own)
+	return s
 }
 
 // NewStepCandidateMinFloodRoutes starts the routed exact flood for any
@@ -613,11 +660,40 @@ func NewStepCandidateMinFloodR(voteFor int, own int64, candNbrs map[int]bool, ca
 // voter must hold a route for its own voteFor — it adopted that candidate
 // by definition — so a missing route is a protocol bug, not data.
 func NewStepCandidateMinFloodRoutes(voteFor int, own int64, routes []CandRoute, candidate bool, candW, sampleW, hops int) *StepCandidateMinFlood {
+	s := new(StepCandidateMinFlood)
+	s.PrepareRoutes(voteFor, routes, candidate, candW, sampleW, hops)
+	s.Restart(own)
+	return s
+}
+
+// Prepare installs the broadcast schedule of NewStepCandidateMinFloodR for
+// the floods that follow, each started by Restart. candNbrs is kept, not
+// copied: it must stay unchanged until the last of those floods is done.
+func (s *StepCandidateMinFlood) Prepare(voteFor int, candNbrs []int, candidate bool, candW, sampleW, hops int) {
 	if hops < 1 {
-		panicCollective(fmt.Sprintf("primitives: NewStepCandidateMinFloodRoutes with hops %d < 1", hops))
+		panicCollective(fmt.Sprintf("primitives: StepCandidateMinFlood.Prepare with hops %d < 1", hops))
 	}
-	byLvl := make(map[int]CandRoute, len(routes))
-	voteRouted := voteFor < 0 || own < 0
+	if hops > 2 {
+		panicCollective(fmt.Sprintf("primitives: StepCandidateMinFlood.Prepare with hops %d > 2 (use PrepareRoutes)", hops))
+	}
+	s.voteFor, s.candNbrs, s.candidate = voteFor, candNbrs, candidate
+	s.wC, s.wQ, s.hops = candW, sampleW, hops
+	s.routed = false
+}
+
+// PrepareRoutes installs the routed schedule of
+// NewStepCandidateMinFloodRoutes for the floods that follow, each started by
+// Restart. The routes are validated and indexed by level here, once, and
+// not read again.
+func (s *StepCandidateMinFlood) PrepareRoutes(voteFor int, routes []CandRoute, candidate bool, candW, sampleW, hops int) {
+	if hops < 1 {
+		panicCollective(fmt.Sprintf("primitives: StepCandidateMinFlood.PrepareRoutes with hops %d < 1", hops))
+	}
+	s.byLvl = s.byLvl[:0]
+	for range hops + 1 {
+		s.byLvl = append(s.byLvl, CandRoute{Cand: -1, From: -1, Lvl: -1})
+	}
+	voteRouted := voteFor < 0
 	for _, rt := range routes {
 		if rt.Lvl < 0 || rt.Lvl > hops {
 			panicCollective(fmt.Sprintf("primitives: candidate route level %d outside 0..%d", rt.Lvl, hops))
@@ -625,10 +701,10 @@ func NewStepCandidateMinFloodRoutes(voteFor int, own int64, routes []CandRoute, 
 		if (rt.From < 0) != (rt.Lvl == 0) {
 			panicCollective(fmt.Sprintf("primitives: candidate route %+v: From must be -1 exactly at level 0", rt))
 		}
-		if _, dup := byLvl[rt.Lvl]; dup {
+		if s.byLvl[rt.Lvl].Lvl >= 0 {
 			panicCollective(fmt.Sprintf("primitives: duplicate candidate route level %d", rt.Lvl))
 		}
-		byLvl[rt.Lvl] = rt
+		s.byLvl[rt.Lvl] = rt
 		if rt.Cand == voteFor {
 			voteRouted = true
 		}
@@ -636,37 +712,41 @@ func NewStepCandidateMinFloodRoutes(voteFor int, own int64, routes []CandRoute, 
 	if !voteRouted {
 		panicCollective(fmt.Sprintf("primitives: voter for candidate %d has no adoption route to it", voteFor))
 	}
-	return &StepCandidateMinFlood{
-		voteFor: voteFor, own: own, byLvl: byLvl, candidate: candidate,
-		wC: candW, wQ: sampleW, hops: hops, best: -1,
-	}
+	s.voteFor, s.candidate = voteFor, candidate
+	s.wC, s.wQ, s.hops = candW, sampleW, hops
+	s.routed = true
+}
+
+// Restart begins one flood of the prepared schedule in place, contributing
+// own (-1 = no sample) toward voteFor.
+func (s *StepCandidateMinFlood) Restart(own int64) {
+	s.own = own
+	s.perCand = s.perCand[:0]
+	s.best = -1
+	s.r = 0
 }
 
 // Step advances one round-slice.
 func (s *StepCandidateMinFlood) Step(nd *congest.Node) bool {
-	if s.byLvl != nil {
+	if s.routed {
 		return s.stepRouted(nd)
 	}
 	switch {
 	case s.r == 0:
-		s.perCand = map[int64]int64{}
 		if s.own >= 0 {
-			s.perCand[int64(s.voteFor)] = s.own
+			s.fold(int64(s.voteFor), s.own)
 			nd.BroadcastNeighbors(CandMin{Cand: int64(s.voteFor), Q: s.own, WidthC: s.wC, WidthQ: s.wQ})
 		}
 	case s.r < s.hops:
 		s.mergeRecv(nd)
-		for _, u := range nd.Neighbors() {
-			if !s.candNbrs[u] {
-				continue
-			}
-			if q, ok := s.perCand[int64(u)]; ok {
+		for _, u := range s.candNbrs {
+			if q, ok := s.minOf(int64(u)); ok {
 				nd.MustSend(u, CandMin{Cand: int64(u), Q: q, WidthC: s.wC, WidthQ: s.wQ})
 			}
 		}
 	default:
 		if s.candidate {
-			if q, ok := s.perCand[int64(nd.ID())]; ok {
+			if q, ok := s.minOf(int64(nd.ID())); ok {
 				s.best = q
 			}
 			for _, in := range nd.Recv() {
@@ -691,23 +771,22 @@ func (s *StepCandidateMinFlood) Step(nd *congest.Node) bool {
 // read their own minimum.
 func (s *StepCandidateMinFlood) stepRouted(nd *congest.Node) bool {
 	if s.r == 0 {
-		s.perCand = map[int64]int64{}
 		if s.own >= 0 {
-			s.perCand[int64(s.voteFor)] = s.own
+			s.fold(int64(s.voteFor), s.own)
 		}
 	} else {
 		s.mergeRecv(nd)
 	}
 	if s.r == s.hops {
 		if s.candidate {
-			if q, ok := s.perCand[int64(nd.ID())]; ok {
+			if q, ok := s.minOf(int64(nd.ID())); ok {
 				s.best = q
 			}
 		}
 		return true
 	}
-	if rt, ok := s.byLvl[s.hops-s.r]; ok && rt.From >= 0 {
-		if q, have := s.perCand[int64(rt.Cand)]; have {
+	if rt := s.byLvl[s.hops-s.r]; rt.From >= 0 {
+		if q, have := s.minOf(int64(rt.Cand)); have {
 			nd.MustSend(rt.From, CandMin{Cand: int64(rt.Cand), Q: q, WidthC: s.wC, WidthQ: s.wQ})
 		}
 	}
@@ -718,14 +797,31 @@ func (s *StepCandidateMinFlood) stepRouted(nd *congest.Node) bool {
 // mergeRecv folds this slice's deliveries into the per-candidate minima.
 func (s *StepCandidateMinFlood) mergeRecv(nd *congest.Node) {
 	for _, in := range nd.Recv() {
-		m, ok := in.Msg.(CandMin)
-		if !ok {
-			continue
-		}
-		if cur, seen := s.perCand[m.Cand]; !seen || m.Q < cur {
-			s.perCand[m.Cand] = m.Q
+		if m, ok := in.Msg.(CandMin); ok {
+			s.fold(m.Cand, m.Q)
 		}
 	}
+}
+
+// fold lowers cand's running minimum to q, recording cand if it is new.
+func (s *StepCandidateMinFlood) fold(cand, q int64) {
+	for i := range s.perCand {
+		if s.perCand[i].cand == cand {
+			s.perCand[i].q = min(s.perCand[i].q, q)
+			return
+		}
+	}
+	s.perCand = append(s.perCand, candQ{cand: cand, q: q})
+}
+
+// minOf returns cand's running minimum, if any sample for it arrived.
+func (s *StepCandidateMinFlood) minOf(cand int64) (int64, bool) {
+	for _, e := range s.perCand {
+		if e.cand == cand {
+			return e.q, true
+		}
+	}
+	return 0, false
 }
 
 // Min returns this candidate's vote minimum (-1 when it saw none, or when
@@ -982,7 +1078,7 @@ type StepWeightedLocalRatio struct {
 	nbrWeight map[int]int64
 	inRNbr    map[int]bool
 	ripe      []int
-	hop       *StepHopMax
+	hop       StepHopMax
 	uNbrs     []int
 }
 
@@ -1049,7 +1145,7 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 		if len(s.ripe) > 0 {
 			val = int64(nd.ID()) + 1
 		}
-		s.hop = NewStepTwoHopMax(val)
+		s.hop.Restart(val, 0, 2) // the natural-width NewStepTwoHopMax
 		s.hop.Step(nd)
 		s.sub = wlrHop
 	case wlrHop:

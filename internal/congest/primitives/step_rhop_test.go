@@ -82,7 +82,7 @@ type rhopProgram struct {
 	floodHops int
 	rank      *StepRankFlood
 	rankHops  int
-	candNbrs  map[int]bool
+	candNbrs  []int
 	routes    []CandRoute
 	prevBest  int
 	near      *StepNearFlood
@@ -141,7 +141,7 @@ func (p *rhopProgram) Step(nd *congest.Node) (bool, error) {
 			}
 			r, id := p.rank.Best()
 			p.out.RankBest = fmt.Sprintf("%d/%d", r, id)
-			p.out.CandNbrs = fmt.Sprint(sortedKeys(p.candNbrs))
+			p.out.CandNbrs = fmt.Sprint(p.candNbrs)
 			p.near = NewStepNearFlood(p.in.nearSeed(nd.ID()), p.in.r)
 			p.stage = 3
 		case 3:
@@ -172,19 +172,6 @@ func (p *rhopProgram) Step(nd *congest.Node) (bool, error) {
 }
 
 func (p *rhopProgram) Output() rhopOut { return p.out }
-
-func sortedKeys(m map[int]bool) []int {
-	out := []int{}
-	for v := 0; v < 1<<20; v++ {
-		if len(out) == len(m) {
-			break
-		}
-		if m[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
 
 // rhopReference computes every node's expected outcome straight from BFS
 // distances.

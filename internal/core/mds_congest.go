@@ -185,6 +185,13 @@ const (
 // 4-hop maximum, rank voting, vote estimation, and the coverage flood —
 // with every stage starting in the slice its predecessor finishes, exactly
 // like the blocking composition.
+//
+// The primitives are embedded by value and restarted in place, and every
+// per-phase buffer (minima, candidate neighbors, adoption routes) is
+// truncated rather than reallocated, so once the buffers have grown the
+// phase loop allocates nothing beyond the boxed messages it sends: the
+// Θ(log n) floods per estimator quantity and the Θ(log n · log Δ) phases
+// cost engine time, not heap churn (TestMDSCongestAllocsBounded).
 type mdsCongestProgram struct {
 	mdsParams
 
@@ -193,7 +200,7 @@ type mdsCongestProgram struct {
 	phase, sub, j int
 
 	// Step 1 (coverage estimation) state.
-	flood      *primitives.StepMinFlood
+	flood      primitives.StepMinFlood
 	floodStage int
 	minima     []float64
 	sawAny     bool
@@ -201,21 +208,23 @@ type mdsCongestProgram struct {
 	rho        int64
 
 	// Step 2 (candidate selection) state.
-	hop *primitives.StepHopMax
+	hop primitives.StepHopMax
 
-	// Step 3 (rank voting) state. routes records each adoption of a new
-	// running-best candidate (level = stages completed, parent = delivering
-	// neighbor) — the in-tree step 4's exact depth-r schedule routes along.
-	rank       *primitives.StepRankFlood
+	// Step 3 (rank voting) state. candNbrs copies the first flood's senders
+	// (the neighboring candidates, ascending) before later stages overwrite
+	// them; routes records each adoption of a new running-best candidate
+	// (level = stages completed, parent = delivering neighbor) — the in-tree
+	// step 4's exact depth-r schedule routes along.
+	rank       primitives.StepRankFlood
 	rankStage  int
-	candNbrs   map[int]bool
+	candNbrs   []int
 	candidate  bool
 	voteFor    int
 	routes     []primitives.CandRoute
 	prevBestID int
 
 	// Step 4 (vote estimation) state.
-	votes      *primitives.StepCandidateMinFlood
+	votes      primitives.StepCandidateMinFlood
 	voteMinima []float64
 	gotVotes   bool
 
@@ -233,7 +242,7 @@ func (p *mdsCongestProgram) startPhase(nd *congest.Node) {
 	p.sawAny = true
 	p.j = 0
 	p.floodStage = 0
-	p.flood = primitives.NewStepMinFlood(p.coverageSample(nd), p.qWidth)
+	p.flood.Restart(p.coverageSample(nd), p.qWidth)
 	p.sub = mdsEstimate
 }
 
@@ -265,7 +274,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			if p.floodStage < p.rpow-1 {
 				// Next hop of the rpow-round min-flood (one chained
 				// single-hop flood per hop of Gʳ).
-				p.flood = primitives.NewStepMinFlood(p.flood.Min(), p.qWidth)
+				p.flood.Restart(p.flood.Min(), p.qWidth)
 				p.floodStage++
 				continue
 			}
@@ -277,7 +286,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			p.j++
 			if p.j < p.r {
 				p.floodStage = 0
-				p.flood = primitives.NewStepMinFlood(p.coverageSample(nd), p.qWidth)
+				p.flood.Restart(p.coverageSample(nd), p.qWidth)
 				continue
 			}
 			p.dTilde = 0
@@ -290,7 +299,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 				p.rho = estimate.RoundUpPow2(p.dTilde)
 			}
 			nd.SpanEnd("mds-estimate", p.phase)
-			p.hop = primitives.NewStepHopMax(p.rho, p.idw+2, 2*p.rpow)
+			p.hop.Restart(p.rho, p.idw+2, 2*p.rpow)
 			p.sub = mdsHop
 		case mdsHop:
 			if !p.hop.Step(nd) {
@@ -301,7 +310,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			if p.candidate {
 				myRank = nd.Rand().Int63n(p.rankMax)
 			}
-			p.rank = primitives.NewStepRankFlood(myRank, int64(nd.ID()), p.rankW, p.idw)
+			p.rank.Restart(myRank, int64(nd.ID()), p.rankW, p.idw)
 			p.rankStage = 0
 			p.routes = p.routes[:0]
 			p.prevBestID = -1
@@ -317,7 +326,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			if p.rankStage == 0 {
 				// Direct senders in the first flood are the neighboring
 				// candidates (used to route step 4's forwarded minima).
-				p.candNbrs = p.rank.Senders()
+				p.candNbrs = append(p.candNbrs[:0], p.rank.Senders()...)
 			}
 			if _, id := p.rank.Best(); id >= 0 && int(id) != p.prevBestID {
 				// Adopted a new running best: record the delivering neighbor
@@ -328,7 +337,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			}
 			if p.rankStage < p.rpow-1 {
 				r1, id1 := p.rank.Best()
-				p.rank = primitives.NewStepRankFlood(r1, id1, p.rankW, p.idw)
+				p.rank.Restart(r1, id1, p.rankW, p.idw)
 				p.rankStage++
 				continue
 			}
@@ -340,7 +349,8 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			p.voteMinima = p.voteMinima[:0]
 			p.gotVotes = true
 			p.j = 0
-			p.votes = p.newVoteFlood(nd)
+			p.prepareVotes()
+			p.votes.Restart(p.voteSample(nd))
 			nd.SpanBegin("mds-votes", p.phase)
 			p.sub = mdsVotes
 		case mdsVotes:
@@ -354,7 +364,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			}
 			p.j++
 			if p.j < p.r {
-				p.votes = p.newVoteFlood(nd)
+				p.votes.Restart(p.voteSample(nd))
 				continue
 			}
 			// Step 5: join on votes ≥ C̃_v/8.
@@ -409,16 +419,16 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 	}
 }
 
-// newVoteFlood starts one step-4 vote-estimation flood: the paper's exact
-// broadcast trick at rpow ≤ 2 (byte-identical to the r = 2 schedule), the
-// routed exact schedule along the captured adoption trees at rpow ≥ 3.
-func (p *mdsCongestProgram) newVoteFlood(nd *congest.Node) *primitives.StepCandidateMinFlood {
+// prepareVotes installs this phase's step-4 vote-estimation schedule, shared
+// by its r floods: the paper's exact broadcast trick at rpow ≤ 2
+// (byte-identical to the r = 2 schedule), the routed exact schedule along
+// the captured adoption trees at rpow ≥ 3.
+func (p *mdsCongestProgram) prepareVotes() {
 	if p.rpow <= 2 {
-		return primitives.NewStepCandidateMinFloodR(
-			p.voteFor, p.voteSample(nd), p.candNbrs, p.candidate, p.idw, p.qWidth, p.rpow)
+		p.votes.Prepare(p.voteFor, p.candNbrs, p.candidate, p.idw, p.qWidth, p.rpow)
+		return
 	}
-	return primitives.NewStepCandidateMinFloodRoutes(
-		p.voteFor, p.voteSample(nd), p.routes, p.candidate, p.idw, p.qWidth, p.rpow)
+	p.votes.PrepareRoutes(p.voteFor, p.routes, p.candidate, p.idw, p.qWidth, p.rpow)
 }
 
 func (p *mdsCongestProgram) Output() nodeOut {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"powergraph/internal/congest"
 	"powergraph/internal/exact"
 	"powergraph/internal/graph"
 	"powergraph/internal/verify"
@@ -145,5 +146,36 @@ func TestApproxMDSCongestP7NeedsAtLeastTwo(t *testing.T) {
 	}
 	if math.IsNaN(float64(res.Stats.Rounds)) || res.Stats.Rounds == 0 {
 		t.Fatal("no rounds recorded")
+	}
+}
+
+// TestMDSCongestAllocsBounded guards the steady-state allocation profile of
+// the Theorem-28 phase loop: every flood restarts in place, so a run's
+// allocations are the engine's setup plus amortized buffer growth — far
+// below one per node-step. A regression to per-flood allocation (a fresh
+// primitive, map or route index per node per flood) costs about one
+// allocation per node-step and fails the bound of one per ten.
+func TestMDSCongestAllocsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting over full MDS runs at n=300")
+	}
+	const n = 300
+	g := graph.ConnectedGNP(n, 8.0/n, rand.New(rand.NewSource(1)))
+	for _, r := range []int{2, 3} {
+		opts := &MDSOptions{Options: Options{Seed: 1, Engine: congest.EngineBatch, Power: r}}
+		res, err := ApproxMDSCongest(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := ApproxMDSCongest(g, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("r=%d: %.0f allocations per run over %d rounds × %d nodes", r, allocs, res.Stats.Rounds, n)
+		if limit := float64(res.Stats.Rounds) * n / 10; allocs >= limit {
+			t.Errorf("r=%d: %.0f allocations per run over %d rounds × %d nodes, want < %.0f (one per ten node-steps)",
+				r, allocs, res.Stats.Rounds, n, limit)
+		}
 	}
 }
