@@ -3,7 +3,7 @@
 GO ?= go
 OUT ?= bench-out
 
-.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench-smoke bench bench-engine bench-incpower bench-obs bench-step bench-kernel fuzz-kernel fuzz-graph sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
+.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench-smoke bench bench-engine bench-incpower bench-obs bench-step bench-kernel fuzz-kernel fuzz-exact fuzz-graph sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
 
 build:
 	$(GO) build ./...
@@ -94,14 +94,23 @@ bench-step:
 
 # Kernelize-then-solve vs legacy raw exact on leader-shaped instances
 # (squares of sparse graphs): solve time, kernel size after reductions, and
-# whether the raw solver exhausts the stress budget.
+# whether the raw solver exhausts the stress budget; then the raw branch and
+# bound alone (split and legacy entry points on G² of G(150, c/150)), whose
+# allocs/op stay flat in the node count.
 bench-kernel:
 	$(GO) test -bench='BenchmarkKernel' -benchmem -run='^$$' ./internal/kernel/
+	$(GO) test -bench='BenchmarkVertexCoverSearch' -benchmem -run='^$$' ./internal/exact/
 
 # Short fuzz pass over the kernel lift invariants (feasibility + LP lower
 # bound on arbitrary graph encodings) — the CI smoke configuration.
 fuzz-kernel:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLiftFeasible -fuzztime=20s ./internal/kernel/
+
+# Short fuzz pass over the exact vertex-cover search itself (brute-force
+# optimality, repeat-call determinism, 1-node budget trips and best-so-far
+# covers) — the CI smoke configuration.
+fuzz-exact:
+	$(GO) test -run='^$$' -fuzz=FuzzVertexCoverSearch -fuzztime=20s ./internal/kernel/
 
 # Short fuzz pass over the edge-list decoder the server runs on untrusted
 # bodies (an error or a graph within the vertex limit, and a lossless
@@ -164,9 +173,11 @@ sweep-mega:
 # CI gate for the mega path: the million-node sharded-engine smoke
 # (fixed-size worker pool, sequential-identical output at n = 10⁶) plus one
 # seeded 100k-vertex MDS cell asserted against the golden summary (rounds,
-# messages, solution size) pinned in internal/harness/mega_test.go.
+# messages, solution size) pinned in internal/harness/mega_test.go. The two
+# packages run one after the other (-p 1): side by side, their test binaries
+# together exceed an 8 GB host and the million-node one gets killed.
 sweep-mega-smoke:
-	MEGA_SMOKE=1 $(GO) test -count=1 -timeout 45m \
+	MEGA_SMOKE=1 $(GO) test -p 1 -count=1 -timeout 45m \
 		-run 'TestShardedMillionNodes|TestMegaGoldenSummary' \
 		./internal/congest/ ./internal/harness/
 

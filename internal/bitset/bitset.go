@@ -247,6 +247,18 @@ func (s *Set) First() int {
 	return -1
 }
 
+// FirstCommon returns the smallest element of s ∩ o, or -1 if the two are
+// disjoint, without materializing the intersection.
+func (s *Set) FirstCommon(o *Set) int {
+	s.mustMatch(o)
+	for i, w := range s.words {
+		if c := w & o.words[i]; c != 0 {
+			return i*wordBits + bits.TrailingZeros64(c)
+		}
+	}
+	return -1
+}
+
 // NextAfter returns the smallest element strictly greater than i, or -1.
 func (s *Set) NextAfter(i int) int {
 	if i < -1 {

@@ -164,6 +164,28 @@ func TestFirstNextAfter(t *testing.T) {
 	}
 }
 
+func TestFirstCommon(t *testing.T) {
+	a := FromIndices(200, 5, 63, 130, 199)
+	cases := []struct {
+		b    *Set
+		want int
+	}{
+		{FromIndices(200), -1},
+		{FromIndices(200, 6, 64, 131), -1},
+		{FromIndices(200, 130, 199), 130},
+		{FromIndices(200, 0, 63, 199), 63},
+		{a, 5},
+	}
+	for _, tc := range cases {
+		if got := a.FirstCommon(tc.b); got != tc.want {
+			t.Errorf("FirstCommon(%v) = %d, want %d", tc.b, got, tc.want)
+		}
+		if got := a.Intersect(tc.b).First(); got != tc.want {
+			t.Errorf("Intersect(%v).First() = %d, want %d", tc.b, got, tc.want)
+		}
+	}
+}
+
 func TestForEachEarlyStop(t *testing.T) {
 	s := FromIndices(100, 1, 2, 3, 4)
 	var seen []int

@@ -96,18 +96,22 @@ func VertexCoverBoundedSplitCounted(g *graph.Graph, maxNodes int64, incumbent *b
 // many search nodes it expanded (the budget counter, global across split
 // sub-solvers).
 func vertexCoverSearch(g *graph.Graph, maxNodes int64, incumbent *bitset.Set, split bool) (*bitset.Set, int64, error) {
+	n := g.N()
 	s := &vcSolver{
 		g:        g,
-		n:        g.N(),
-		budget:   &vcBudget{max: maxNodes},
+		n:        n,
+		budget:   vcBudget{max: maxNodes},
 		split:    split,
 		bestCost: math.MaxInt64,
+		nv:       bitset.New(n),
+		avail:    bitset.New(n),
+		common:   bitset.New(n),
 	}
 	init := incumbent
 	if init == nil {
 		// Trivial incumbent: all non-isolated vertices (always feasible).
-		init = bitset.New(g.N())
-		for v := 0; v < g.N(); v++ {
+		init = bitset.New(n)
+		for v := 0; v < n; v++ {
 			if g.Degree(v) > 0 {
 				init.Add(v)
 			}
@@ -116,9 +120,9 @@ func vertexCoverSearch(g *graph.Graph, maxNodes int64, incumbent *bitset.Set, sp
 	s.bestSet = init
 	s.bestCost = g.SetWeightOf(init)
 
-	active := bitset.Full(g.N())
-	cover := bitset.New(g.N())
-	if err := s.solve(active, cover, 0); err != nil {
+	root := &vcFrame{active: bitset.Full(n), cover: bitset.New(n)}
+	s.frames = append(s.frames, root)
+	if err := s.solve(root.active, root.cover, 0, 0); err != nil {
 		if split {
 			// Best-so-far: feasible, and no worse than the seed incumbent.
 			return s.bestSet, s.budget.nodes, err
@@ -128,8 +132,8 @@ func vertexCoverSearch(g *graph.Graph, maxNodes int64, incumbent *bitset.Set, sp
 	return s.bestSet, s.budget.nodes, nil
 }
 
-// vcBudget is the search-node budget, shared across the sub-solvers the
-// splitting search spawns so the cap stays global.
+// vcBudget is the search-node budget, shared across the sub-searches the
+// splitting search runs so the cap stays global.
 type vcBudget struct {
 	nodes int64
 	max   int64
@@ -143,13 +147,45 @@ func (b *vcBudget) spend() error {
 	return nil
 }
 
+// vcSolver is one search call: the incumbent, the budget, and the scratch
+// the search reuses instead of allocating per node. The search allocates
+// once per call (frames grow lazily with the depth reached) and once per
+// improved incumbent, never per search node.
 type vcSolver struct {
 	g        *graph.Graph
 	n        int
 	bestSet  *bitset.Set
 	bestCost int64
-	budget   *vcBudget
+	budget   vcBudget
 	split    bool
+
+	// frames[d] holds the sets of the subproblem at recursion depth d; a
+	// branch writes its child into frames[d+1], which the next branch of
+	// the same node then overwrites.
+	frames []*vcFrame
+	// nv, avail and common are flat scratch for the steps that never
+	// recurse while holding them: the reduction sweep, the lower bounds,
+	// branch B and the component walk. seen and frontier serve components.
+	nv, avail, common *bitset.Set
+	seen              *bitset.Set
+	frontier          []int
+}
+
+// vcFrame is the per-depth working state: the subproblem's active set and
+// committed cover, plus (allocated on first split at this depth) the union
+// of the components' optima and the reusable component sets.
+type vcFrame struct {
+	active, cover *bitset.Set
+	union         *bitset.Set
+	comps         []*bitset.Set
+}
+
+// frame returns frames[d], allocating any missing frames up to d.
+func (s *vcSolver) frame(d int) *vcFrame {
+	for len(s.frames) <= d {
+		s.frames = append(s.frames, &vcFrame{active: bitset.New(s.n), cover: bitset.New(s.n)})
+	}
+	return s.frames[d]
 }
 
 // activeDegree is |N(v) ∩ active|.
@@ -161,11 +197,11 @@ func (s *vcSolver) activeDegree(v int, active *bitset.Set) int {
 // least min(w(u), w(v)) additional cover weight, and the edges are disjoint,
 // so the sum is a valid lower bound on the cost of covering what remains.
 func (s *vcSolver) matchingLB(active *bitset.Set) int64 {
-	avail := active.Clone()
+	avail := s.avail
+	avail.CopyFrom(active)
 	var lb int64
 	for u := avail.First(); u != -1; u = avail.NextAfter(u) {
-		nbrs := s.g.AdjRow(u).Intersect(avail)
-		v := nbrs.First()
+		v := s.g.AdjRow(u).FirstCommon(avail)
 		if v == -1 {
 			continue
 		}
@@ -197,11 +233,13 @@ func (s *vcSolver) matchingLB(active *bitset.Set) int64 {
 // leader-ceiling stress test relies on VertexCoverBounded exhausting the
 // same budgets it always exhausted.
 func (s *vcSolver) cliqueCoverLB(active *bitset.Set) int64 {
-	avail := active.Clone()
+	avail, common := s.avail, s.common
+	avail.CopyFrom(active)
 	var lb int64
 	for u := avail.First(); u != -1; u = avail.NextAfter(u) {
 		// Grow a clique around u: candidates stay adjacent to every member.
-		common := s.g.AdjRow(u).Intersect(avail)
+		common.CopyFrom(s.g.AdjRow(u))
+		common.And(avail)
 		sum, max := s.g.Weight(u), s.g.Weight(u)
 		avail.Remove(u)
 		for v := common.First(); v != -1; v = common.NextAfter(v) {
@@ -231,10 +269,18 @@ func (s *vcSolver) lowerBound(active *bitset.Set) int64 {
 	return lb
 }
 
+// improve records cover (cost cost) as the new incumbent. cover is search
+// scratch, so the incumbent keeps a copy.
+func (s *vcSolver) improve(cover *bitset.Set, cost int64) {
+	s.bestCost = cost
+	s.bestSet = cover.Clone()
+}
+
 // solve explores the subproblem where `active` vertices remain and `cover`
-// (cost `cost`) has been committed. It mutates its arguments; callers pass
-// clones when branching.
-func (s *vcSolver) solve(active, cover *bitset.Set, cost int64) error {
+// (cost `cost`) has been committed, at recursion depth `depth`. It mutates
+// its arguments; each branch starts from a copy written into the frame of
+// depth+1.
+func (s *vcSolver) solve(active, cover *bitset.Set, cost int64, depth int) error {
 	if err := s.budget.spend(); err != nil {
 		return err
 	}
@@ -250,13 +296,15 @@ func (s *vcSolver) solve(active, cover *bitset.Set, cost int64) error {
 	// case where v's closed active neighborhood is exactly {u, v}. Squares
 	// of graphs are triangle-rich, where this rule collapses most of the
 	// instance without branching.
+	nv := s.nv
 	for {
 		changed := false
 		for v := active.First(); v != -1; v = active.NextAfter(v) {
 			if !active.Contains(v) {
 				continue // removed earlier in this sweep
 			}
-			nv := s.g.AdjRow(v).Intersect(active)
+			nv.CopyFrom(s.g.AdjRow(v))
+			nv.And(active)
 			if nv.Empty() {
 				active.Remove(v)
 				changed = true
@@ -273,10 +321,11 @@ func (s *vcSolver) solve(active, cover *bitset.Set, cost int64) error {
 				if s.g.Weight(u) > s.g.Weight(v) {
 					continue
 				}
-				rest := nv.Clone()
-				rest.Remove(u)
-				nu := s.g.AdjRow(u).Intersect(active)
-				if rest.SubsetOf(nu) {
+				// nv \ {u} ⊆ N(u) ∩ active; nv ⊆ active already.
+				nv.Remove(u)
+				dominated := nv.SubsetOf(s.g.AdjRow(u))
+				nv.Add(u)
+				if dominated {
 					cover.Add(u)
 					cost += s.g.Weight(u)
 					active.Remove(u)
@@ -303,8 +352,7 @@ func (s *vcSolver) solve(active, cover *bitset.Set, cost int64) error {
 	}
 	if branch == -1 {
 		if cost < s.bestCost {
-			s.bestCost = cost
-			s.bestSet = cover.Clone()
+			s.improve(cover, cost)
 		}
 		return nil
 	}
@@ -314,92 +362,107 @@ func (s *vcSolver) solve(active, cover *bitset.Set, cost int64) error {
 	}
 
 	if s.split {
-		if done, err := s.solveSplit(active, cover, cost); done || err != nil {
+		if done, err := s.solveSplit(active, cover, cost, depth); done || err != nil {
 			return err
 		}
 	}
 
+	child := s.frame(depth + 1)
 	// Branch A: take `branch` into the cover.
-	{
-		a := active.Clone()
-		c := cover.Clone()
-		a.Remove(branch)
-		c.Add(branch)
-		if err := s.solve(a, c, cost+s.g.Weight(branch)); err != nil {
-			return err
-		}
+	child.active.CopyFrom(active)
+	child.cover.CopyFrom(cover)
+	child.active.Remove(branch)
+	child.cover.Add(branch)
+	if err := s.solve(child.active, child.cover, cost+s.g.Weight(branch), depth+1); err != nil {
+		return err
 	}
 	// Branch B: exclude `branch` ⇒ all of its active neighbors enter.
-	{
-		a := active.Clone()
-		c := cover.Clone()
-		extra := int64(0)
-		nbrs := s.g.AdjRow(branch).Intersect(active)
-		nbrs.ForEach(func(u int) bool {
-			c.Add(u)
-			a.Remove(u)
-			extra += s.g.Weight(u)
-			return true
-		})
-		a.Remove(branch)
-		if err := s.solve(a, c, cost+extra); err != nil {
-			return err
-		}
+	nbrs := s.common
+	nbrs.CopyFrom(s.g.AdjRow(branch))
+	nbrs.And(active)
+	extra := int64(0)
+	for u := nbrs.First(); u != -1; u = nbrs.NextAfter(u) {
+		extra += s.g.Weight(u)
 	}
-	return nil
+	child.active.CopyFrom(active)
+	child.active.AndNot(nbrs)
+	child.active.Remove(branch)
+	child.cover.CopyFrom(cover)
+	child.cover.Or(nbrs)
+	return s.solve(child.active, child.cover, cost+extra, depth+1)
 }
 
 // solveSplit decomposes a disconnected active set into components, solves
-// each with an independent sub-search (shared node budget), and combines the
-// optima. Reports done = true when it handled the subproblem (i.e., there
-// was more than one component); the caller then skips branching entirely.
-func (s *vcSolver) solveSplit(active, cover *bitset.Set, cost int64) (done bool, err error) {
-	comps := s.components(active)
+// each with an independent sub-search (shared node budget and scratch,
+// starting at depth+1), and combines the optima. Reports done = true when it
+// handled the subproblem (i.e., there was more than one component); the
+// caller then skips branching entirely.
+func (s *vcSolver) solveSplit(active, cover *bitset.Set, cost int64, depth int) (done bool, err error) {
+	f := s.frame(depth)
+	comps := s.components(active, f)
 	if len(comps) < 2 {
 		return false, nil
 	}
+	if f.union == nil {
+		f.union = bitset.New(s.n)
+	}
+	union := f.union
+	union.CopyFrom(cover)
 	total := cost
-	union := cover.Clone()
+	child := s.frame(depth + 1)
+	outerSet, outerCost := s.bestSet, s.bestCost
 	for _, comp := range comps {
-		if total >= s.bestCost {
+		if total >= outerCost {
 			return true, nil // partial sums already beat by the incumbent
 		}
-		sub := &vcSolver{
-			g: s.g, n: s.n, budget: s.budget, split: true,
-			// Trivial per-component incumbent: the whole component.
-			bestSet:  comp.Clone(),
-			bestCost: s.g.SetWeightOf(comp),
-		}
-		if err := sub.solve(comp.Clone(), bitset.New(s.n), 0); err != nil {
+		// The sub-search runs against its own incumbent, seeded with the
+		// trivial per-component cover: the whole component.
+		s.bestSet, s.bestCost = comp, s.g.SetWeightOf(comp)
+		child.active.CopyFrom(comp)
+		child.cover.Clear()
+		err := s.solve(child.active, child.cover, 0, depth+1)
+		subSet, subCost := s.bestSet, s.bestCost
+		s.bestSet, s.bestCost = outerSet, outerCost
+		if err != nil {
 			return true, err
 		}
-		total += sub.bestCost
-		union.Or(sub.bestSet)
+		total += subCost
+		union.Or(subSet)
 	}
 	if total < s.bestCost {
-		s.bestCost = total
-		s.bestSet = union
+		s.improve(union, total)
 	}
 	return true, nil
 }
 
 // components returns the connected components of the active set, in
-// first-vertex order (deterministic).
-func (s *vcSolver) components(active *bitset.Set) []*bitset.Set {
-	seen := bitset.New(s.n)
-	var comps []*bitset.Set
+// first-vertex order (deterministic). The sets are f's reusable component
+// list, valid until the next call at the same depth.
+func (s *vcSolver) components(active *bitset.Set, f *vcFrame) []*bitset.Set {
+	if s.seen == nil {
+		s.seen = bitset.New(s.n)
+	}
+	seen, nbrs := s.seen, s.common
+	seen.Clear()
+	count := 0
 	for v := active.First(); v != -1; v = active.NextAfter(v) {
 		if seen.Contains(v) {
 			continue
 		}
-		comp := bitset.New(s.n)
-		frontier := []int{v}
+		if count == len(f.comps) {
+			f.comps = append(f.comps, bitset.New(s.n))
+		}
+		comp := f.comps[count]
+		count++
+		comp.Clear()
+		frontier := append(s.frontier[:0], v)
 		comp.Add(v)
 		seen.Add(v)
 		for len(frontier) > 0 {
 			u := frontier[len(frontier)-1]
 			frontier = frontier[:len(frontier)-1]
-			nbrs := s.g.AdjRow(u).Intersect(active)
+			nbrs.CopyFrom(s.g.AdjRow(u))
+			nbrs.And(active)
 			for w := nbrs.First(); w != -1; w = nbrs.NextAfter(w) {
 				if !seen.Contains(w) {
 					seen.Add(w)
@@ -408,7 +471,7 @@ func (s *vcSolver) components(active *bitset.Set) []*bitset.Set {
 				}
 			}
 		}
-		comps = append(comps, comp)
+		s.frontier = frontier
 	}
-	return comps
+	return f.comps[:count]
 }

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"powergraph/internal/exact"
@@ -50,14 +51,39 @@ func BenchmarkKernelVsExact(b *testing.B) {
 	}
 }
 
+// kernelizeOnlyInstance is the square of a weighted random 2000-vertex
+// tree: the reduction rules' benchmark and allocation-guard instance.
+func kernelizeOnlyInstance() *graph.Graph {
+	g := graph.WithRandomWeights(graph.RandomTree(2000, rand.New(rand.NewSource(3))), 16, rand.New(rand.NewSource(103)))
+	return g.Square()
+}
+
 // BenchmarkKernelizeOnly isolates the reduction rules (no search): the cost
 // a leader pays before any branching happens.
 func BenchmarkKernelizeOnly(b *testing.B) {
-	g := graph.WithRandomWeights(graph.RandomTree(2000, rand.New(rand.NewSource(3))), 16, rand.New(rand.NewSource(103)))
-	sq := g.Square()
+	sq := kernelizeOnlyInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := kernelizeVC(sq, nil)
 		_ = k.offset
+	}
+}
+
+// TestKernelizeVCAllocsBounded pins the rules' reuse contract: kernelizeVC
+// builds its dense working rows once and then edits and tests them in place,
+// so its total allocation stays under 2.5 dense row tables
+// (2.5 · n · ⌈n/64⌉ · 8 bytes) — the table itself plus the LP network and
+// bookkeeping, with no per-check row copies.
+func TestKernelizeVCAllocsBounded(t *testing.T) {
+	sq := kernelizeOnlyInstance()
+	n := sq.N()
+	table := float64(n * ((n + 63) / 64) * 8)
+	kernelizeVC(sq, nil) // warm up lazily built graph state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	kernelizeVC(sq, nil)
+	runtime.ReadMemStats(&after)
+	if tables := float64(after.TotalAlloc-before.TotalAlloc) / table; tables > 2.5 {
+		t.Errorf("kernelizeVC on n=%d allocated %.2f dense row tables, want < 2.5", n, tables)
 	}
 }

@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"errors"
 	"testing"
 
+	"powergraph/internal/bitset"
 	"powergraph/internal/exact"
 	"powergraph/internal/graph"
 	"powergraph/internal/verify"
@@ -43,6 +45,87 @@ func FuzzKernelLiftFeasible(f *testing.F) {
 			if want := g.SetWeightOf(exact.BruteVertexCover(g)); cost != want {
 				t.Fatalf("claimed-exact cost %d, brute optimum %d", cost, want)
 			}
+		}
+	})
+}
+
+// FuzzVertexCoverSearch drives the exact branch and bound of internal/exact
+// directly (no kernelization) over arbitrary graph encodings:
+//
+//   - the unbounded legacy and splitting searches return feasible covers of
+//     the brute-force optimum weight (n ≤ 14);
+//   - a repeated call returns the same cover and node count, so no scratch
+//     state leaks from one search into the next;
+//   - a 1-node budget trips whenever the search needs more than one node;
+//     the splitting search then still returns a feasible cover no worse
+//     than its seed, and never writes to the seed.
+//
+// Run the short CI pass with `make fuzz-exact`.
+func FuzzVertexCoverSearch(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 1, 2, 3, 4, 5, 6})
+	f.Add([]byte{12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 9, 9, 9})
+	f.Add([]byte{13, 0, 1, 0, 2, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 0})
+	f.Add([]byte{20, 250, 3, 77, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := decodeFuzzGraph(data)
+		var want int64 = -1
+		if g.N() <= 14 {
+			want = g.SetWeightOf(exact.BruteVertexCover(g))
+		}
+		check := func(name string, cover *bitset.Set) {
+			t.Helper()
+			if ok, witness := verify.IsVertexCover(g, cover); !ok {
+				t.Fatalf("%s: infeasible cover (edge %v uncovered) on n=%d m=%d", name, witness, g.N(), g.M())
+			}
+			if got := g.SetWeightOf(cover); want >= 0 && got != want {
+				t.Fatalf("%s: cost %d, brute optimum %d", name, got, want)
+			}
+		}
+		same := func(name string, a, b *bitset.Set, na, nb int64) {
+			t.Helper()
+			if !a.Equal(b) || na != nb {
+				t.Fatalf("%s: repeated call drifted: %v (%d nodes) then %v (%d nodes)", name, a, na, b, nb)
+			}
+		}
+
+		legacy, legacyNodes := exact.VertexCoverCounted(g)
+		check("legacy", legacy)
+		again, againNodes := exact.VertexCoverCounted(g)
+		same("legacy", legacy, again, legacyNodes, againNodes)
+
+		split, splitNodes, err := exact.VertexCoverBoundedSplitCounted(g, 0, nil)
+		if err != nil {
+			t.Fatalf("unbounded split search: %v", err)
+		}
+		check("split", split)
+		again, againNodes, _ = exact.VertexCoverBoundedSplitCounted(g, 0, nil)
+		same("split", split, again, splitNodes, againNodes)
+
+		tripped, err := exact.VertexCoverBounded(g, 1)
+		if legacyNodes > 1 {
+			if !errors.Is(err, exact.ErrBudgetExceeded) || tripped != nil {
+				t.Fatalf("legacy 1-node budget over %d nodes: cover %v, err %v", legacyNodes, tripped, err)
+			}
+		} else if err != nil || !tripped.Equal(legacy) {
+			t.Fatalf("legacy 1-node search changed: cover %v, err %v", tripped, err)
+		}
+
+		seed := bestIncumbent(g)
+		seedCopy := seed.Clone()
+		best, _, err := exact.VertexCoverBoundedSplitCounted(g, 1, seed)
+		if !seed.Equal(seedCopy) {
+			t.Fatalf("split search wrote to its seed: %v became %v", seedCopy, seed)
+		}
+		if ok, witness := verify.IsVertexCover(g, best); !ok {
+			t.Fatalf("split 1-node best-so-far infeasible (edge %v uncovered)", witness)
+		}
+		if got, limit := g.SetWeightOf(best), g.SetWeightOf(seed); got > limit {
+			t.Fatalf("split 1-node best-so-far cost %d worse than its seed %d", got, limit)
+		}
+		_, seededNodes, _ := exact.VertexCoverBoundedSplitCounted(g, 0, seed)
+		if seededNodes > 1 && !errors.Is(err, exact.ErrBudgetExceeded) {
+			t.Fatalf("split 1-node budget over %d nodes returned err %v", seededNodes, err)
 		}
 	})
 }

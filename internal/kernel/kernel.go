@@ -186,10 +186,11 @@ type Report struct {
 }
 
 // Solver runs the kernelize-then-solve ladder with fixed knobs. The zero
-// value is ready to use (default knobs); Solvers are stateless between calls
-// and safe to reuse, but not for concurrent use of the same instance by
-// multiple goroutines (each call allocates its own working state — the type
-// exists to carry configuration, not state).
+// value is ready to use (default knobs). A Solver carries configuration
+// only: every call builds its own working state — the kernel's dense rows
+// and degree counters once per call, the search's per-depth scratch once
+// per search — and shares nothing with other calls, so one Solver may serve
+// concurrent calls.
 type Solver struct {
 	cfg Config
 }

@@ -7,15 +7,19 @@ import (
 
 // vcKernel is the mutable working state of the vertex-cover kernelization:
 // adjacency bitsets (capacity fixed at the input size so original vertex ids
-// stay valid throughout), per-vertex weights that the pendant rule may
-// reduce, the set of still-undecided vertices, and the replay log that lifts
-// a kernel cover back to a cover of the input graph.
+// stay valid throughout) with their live degrees, per-vertex weights that the
+// pendant rule may reduce, the set of still-undecided vertices, and the
+// replay log that lifts a kernel cover back to a cover of the input graph.
+// The rules edit rows in place and test them without copies; the only
+// per-rule scratch is the fold's merged row, allocated once.
 type vcKernel struct {
 	n      int
 	adj    []*bitset.Set
+	deg    []int // deg[v] = |adj[v]|, kept in step with every row edit
 	weight []int64
 	alive  *bitset.Set
-	offset int64 // weight committed by the rules: OPT(input) = OPT(kernel) + offset
+	merged *bitset.Set // degree-2 fold scratch
+	offset int64       // weight committed by the rules: OPT(input) = OPT(kernel) + offset
 	ops    []liftOp
 	// lpCut is the min-cut value (twice the LP optimum) of the surviving
 	// instance, recorded by the final reduceNT pass — the one that found
@@ -55,11 +59,17 @@ func newVCKernel(g *graph.Graph) *vcKernel {
 	k := &vcKernel{
 		n:      n,
 		adj:    make([]*bitset.Set, n),
+		deg:    make([]int, n),
 		weight: make([]int64, n),
 		alive:  bitset.Full(n),
+		merged: bitset.New(n),
 	}
 	for v := 0; v < n; v++ {
-		k.adj[v] = g.AdjRow(v).Clone()
+		// Built straight from the CSR row: g's own bitset row is immutable
+		// (and above the rows cutoff would be materialized just to be
+		// copied).
+		k.adj[v] = bitset.FromIndices(n, g.Adj(v)...)
+		k.deg[v] = g.Degree(v)
 		k.weight[v] = g.Weight(v)
 	}
 	return k
@@ -71,9 +81,11 @@ func (k *vcKernel) drop(v int) {
 	k.alive.Remove(v)
 	k.adj[v].ForEach(func(u int) bool {
 		k.adj[u].Remove(v)
+		k.deg[u]--
 		return true
 	})
 	k.adj[v].Clear()
+	k.deg[v] = 0
 }
 
 // force commits v to the cover at its current weight and removes it.
@@ -84,8 +96,8 @@ func (k *vcKernel) force(v int) {
 }
 
 // liveDegree is |N(v) ∩ alive|; rows only ever contain alive vertices, so
-// it is just the row count.
-func (k *vcKernel) liveDegree(v int) int { return k.adj[v].Count() }
+// it is the row's maintained count.
+func (k *vcKernel) liveDegree(v int) int { return k.deg[v] }
 
 // kernelizeVC runs every reduction rule to global fixpoint and returns the
 // working state, ready for kernel extraction and lifting. counts, when
@@ -187,9 +199,11 @@ func (k *vcKernel) ruleDomination(v int, counts *RuleCounts) bool {
 		if k.weight[u] > k.weight[v] {
 			continue
 		}
-		rest := nv.Clone()
-		rest.Remove(u)
-		if rest.SubsetOf(k.adj[u]) {
+		// N(v) \ {u} ⊆ N(u), tested on v's own row.
+		nv.Remove(u)
+		dominated := nv.SubsetOf(k.adj[u])
+		nv.Add(u)
+		if dominated {
 			k.force(u)
 			counts.Domination++
 			return true
@@ -236,14 +250,20 @@ func (k *vcKernel) ruleFold(v int, counts *RuleCounts) bool {
 	folded := k.weight[a] + k.weight[b] - k.weight[v]
 	k.offset += k.weight[v]
 	k.ops = append(k.ops, liftOp{kind: opFold, v: v, a: a, b: b})
-	merged := k.adj[a].Union(k.adj[b])
+	merged := k.merged
+	merged.CopyFrom(k.adj[a])
+	merged.Or(k.adj[b])
 	k.drop(a)
 	k.drop(b)
 	merged.Remove(v)
 	merged.And(k.alive)
+	// v's only neighbors were a and b, so its row is empty now and every
+	// merged vertex is a new neighbor.
 	k.adj[v].CopyFrom(merged)
 	merged.ForEach(func(u int) bool {
 		k.adj[u].Add(v)
+		k.deg[u]++
+		k.deg[v]++
 		return true
 	})
 	k.weight[v] = folded

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,6 +24,7 @@ func liftedOptimal(t *testing.T, g *graph.Graph, name string) RuleCounts {
 	t.Helper()
 	var counts RuleCounts
 	k := kernelizeVC(g, &counts)
+	assertDegrees(t, k, name)
 	kg, orig := k.kernelGraph()
 	sol, err := exact.VertexCoverBoundedSplit(kg, 0, nil)
 	if err != nil {
@@ -37,6 +39,17 @@ func liftedOptimal(t *testing.T, g *graph.Graph, name string) RuleCounts {
 		t.Fatalf("%s: lifted cost %d, brute optimum %d (counts %+v)", name, got, want, counts)
 	}
 	return counts
+}
+
+// assertDegrees checks the kernel's maintained live degrees against its
+// rows: every rule that edits a row must keep deg in step.
+func assertDegrees(t *testing.T, k *vcKernel, name string) {
+	t.Helper()
+	for v, row := range k.adj {
+		if k.deg[v] != row.Count() {
+			t.Fatalf("%s: deg[%d] = %d, row holds %d", name, v, k.deg[v], row.Count())
+		}
+	}
 }
 
 // assertIdempotent re-runs the kernelization on the extracted kernel and
@@ -226,6 +239,7 @@ func TestRulesRandomizedSafeness(t *testing.T) {
 		}
 		var counts RuleCounts
 		k := kernelizeVC(g, &counts)
+		assertDegrees(t, k, fmt.Sprintf("instance %d", i))
 		kg, orig := k.kernelGraph()
 		sol, err := exact.VertexCoverBoundedSplit(kg, 0, nil)
 		if err != nil {
