@@ -181,12 +181,6 @@ func blockingMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, e
 	return assemble(res.Outputs, res.Stats), nil
 }
 
-// weighted overlays deterministic pseudo-random weights in [1, maxW] so the
-// class machinery is exercised beyond the all-ones case.
-func weighted(g *graph.Graph, maxW int64, seed int64) *graph.Graph {
-	return graph.WithRandomWeights(g, maxW, rand.New(rand.NewSource(seed)))
-}
-
 func TestStepMWVCMatchesBlockingReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	// A path with zero-weight interior vertices exercises the pre-covered
