@@ -3,7 +3,7 @@
 GO ?= go
 OUT ?= bench-out
 
-.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench-smoke bench bench-engine bench-incpower bench-obs bench-step bench-kernel fuzz-kernel fuzz-exact fuzz-graph sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
+.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench-smoke bench bench-engine bench-incpower bench-obs bench-kernel fuzz-kernel fuzz-exact fuzz-graph sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
 
 build:
 	$(GO) build ./...
@@ -17,15 +17,17 @@ test: vet docs-check
 race:
 	$(GO) test -race ./...
 
-# Race-detector pass over the engine differential, the step-vs-blocking
-# equivalence tests and the restarted-vs-fresh step primitives only (small
-# n, a few minutes) — the CI race job.
+# Race-detector pass over the shard differentials (sequential vs sharded
+# sweeps of the engine, the primitives and every registry algorithm), the
+# step programs held to their recorded blocking references, and the
+# restarted-vs-fresh step primitives only (small n, a few minutes) — the CI
+# race job. Shards > 1 are where the engine runs node steps concurrently.
 race-diff:
 	$(GO) test -race -count=1 \
-		-run 'TestEngineDifferentialAllAlgorithms|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesMatchBlocking|TestStepPrimitivesRestartMatchesFresh|TestRegistryRunsNativelyOnBatchEngine|TestSharded' \
+		-run 'TestEngineDifferential|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesRestartMatchesFresh|TestRHopPrimitivesMatchBFSReference|TestSharded' \
 		./internal/congest/... ./internal/core/ ./internal/harness/
 
-# Race-detector pass over the shard barrier specifically: the sharded batch
+# Race-detector pass over the shard barrier specifically: the sharded
 # engine's worker pool under adversarial shard sizes (empty shards, one-node
 # shards), plus the harness-level sharded determinism differential — the CI
 # race-shard job.
@@ -35,8 +37,8 @@ race-shard:
 		./internal/congest/ ./internal/harness/
 
 # Race-detector pass over the serving layer: the churn property tests
-# (incremental Gʳ maintenance byte-identical to full recomputes, engine and
-# shard invariance on churned instances), the component-cached exact solver,
+# (incremental Gʳ maintenance byte-identical to full recomputes, shard
+# invariance on churned instances), the component-cached exact solver,
 # the overlay/incremental-power graph layer, and harness cancellation — the
 # CI serve-smoke job's second leg.
 race-serve:
@@ -66,8 +68,8 @@ bench-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
-# Engine-mode comparison: goroutine vs batch vs native step programs on the
-# simulator's hot loop (see internal/congest/bench_test.go).
+# The engine's hot loop: full neighbor exchange by a step program, in
+# ns/node-round (see internal/congest/bench_test.go).
 bench-engine:
 	$(GO) test -bench=BenchmarkEngineModes -benchmem -run='^$$' ./internal/congest/
 
@@ -81,16 +83,10 @@ bench-incpower:
 # Observability overhead on the engine hot loop: nil tracer ("off") vs
 # span-only vs full per-round accounting (see
 # internal/congest/bench_obs_test.go). The "off" rows are directly comparable
-# to bench-engine's handler rows — the disabled-tracer contract is <2% and
-# zero added allocations.
+# to bench-engine's rows — the disabled-tracer contract is <2% and zero
+# added allocations.
 bench-obs:
 	$(GO) test -bench=BenchmarkObs -benchmem -run='^$$' ./internal/congest/
-
-# Per-algorithm comparison of the batch engine's two execution paths:
-# coroutine-adapted blocking reference vs native step program
-# (see internal/core/step_bench_test.go).
-bench-step:
-	$(GO) test -bench=BenchmarkStepVsCoroutine -benchmem -run='^$$' ./internal/core/
 
 # Kernelize-then-solve vs legacy raw exact on leader-shaped instances
 # (squares of sparse graphs): solve time, kernel size after reductions, and
@@ -124,14 +120,14 @@ SPEC ?= specs/podc20-sweep.json
 sweep:
 	$(GO) run ./cmd/powerbench -spec $(SPEC) -out $(OUT)
 
-# Thousand-node engine-comparison sweep over all seven distributed
-# algorithms (regenerates BENCH_scale.json's numbers; single worker so
-# per-job wall clocks are uncontended).
+# Thousand-node sweep over all seven distributed algorithms at r = 2, 3
+# (regenerates BENCH_scale.json; single worker so per-job wall clocks are
+# uncontended).
 sweep-scale:
 	$(GO) run ./cmd/powerbench -spec specs/step-sweep.json -workers 1 -out $(OUT)
 
 # CI gate for the (algorithm × power) matrix: a small distributed power
-# sweep (n ≤ 200, r = 1…4, both engines) that fails on any job error or any
+# sweep (n ≤ 200, r = 1…4) that fails on any job error or any
 # solution that is not a feasible cover/dominating set of its Gʳ.
 sweep-power-smoke:
 	$(GO) run ./cmd/powerbench -spec specs/power-smoke.json -strict -quiet -out $(OUT)
@@ -160,7 +156,7 @@ sparsify-smoke:
 		-out $(OUT) -trace $(OUT)/sparsify-traces
 	$(GO) run ./cmd/powertrace -check $(OUT)/sparsify-traces
 
-# Large-n sweeps over the sharded batch engine (regenerate BENCH_mega.json
+# Large-n sweeps over the sharded engine (regenerate BENCH_mega.json
 # and BENCH_mega-1m.json): MDS end to end plus the MVC Lemma-6 shortcut
 # rows on a sparse 100k instance with a shard-count axis, then the 300k
 # and million-node shortcut cells. Expect about an hour on one core (the
@@ -190,7 +186,10 @@ trace-smoke:
 	$(GO) run ./cmd/powertrace -check $(OUT)/traces
 
 # Documentation gate: every package under internal/ must carry a package
-# comment (a "// Package <name> ..." line somewhere in the package).
+# comment (a "// Package <name> ..." line somewhere in the package), and
+# every BENCH_*.json that a tracked *.md, Go file or this Makefile cites by
+# bare name must be in the tree (names under a directory, like
+# bench-out/BENCH_x.json, are run outputs and are skipped).
 docs-check:
 	@fail=0; \
 	for d in internal/*/ internal/congest/primitives/; do \
@@ -199,7 +198,13 @@ docs-check:
 			echo "docs-check: package $$p ($$d) has no package comment"; fail=1; \
 		fi; \
 	done; \
-	[ $$fail -eq 0 ] && echo "docs-check: all internal packages documented"; \
+	for f in $$(git ls-files '*.md' '*.go' Makefile | xargs grep -hoE '(^|[^/A-Za-z0-9_.<*-])BENCH_[A-Za-z0-9_.-]+\.json' | \
+		grep -oE 'BENCH_[A-Za-z0-9_.-]+\.json' | sort -u); do \
+		if [ ! -f $$f ]; then \
+			echo "docs-check: $$f is cited but not in the tree"; fail=1; \
+		fi; \
+	done; \
+	[ $$fail -eq 0 ] && echo "docs-check: all internal packages documented, all cited BENCH files present"; \
 	exit $$fail
 
 clean:

@@ -52,7 +52,7 @@ func main() {
 
 func run() error {
 	var (
-		list       = flag.Bool("list", false, "print the registered algorithms, generators, and engine modes, then exit")
+		list       = flag.Bool("list", false, "print the registered algorithms, generators, local solvers, and gather modes, then exit")
 		specPath   = flag.String("spec", "", "JSON spec file (overrides the matrix flags)")
 		name       = flag.String("name", "sweep", "sweep name (labels BENCH_<name>.json)")
 		generators = flag.String("generators", "connected-gnp,random-tree,caterpillar",
@@ -60,11 +60,8 @@ func run() error {
 		sizes      = flag.String("sizes", "32,64", "comma-separated vertex counts")
 		algorithms = flag.String("algorithms", "mvc-congest,mvc-clique-rand",
 			"comma-separated algorithms ("+strings.Join(harness.AlgorithmNames(), ", ")+")")
-		epsilons = flag.String("eps", "0.5", "comma-separated ε grid")
-		powers   = flag.String("powers", "2", "comma-separated graph powers r")
-		engines  = flag.String("engines", "",
-			"comma-separated simulator engines (goroutine, batch); empty = engine default. "+
-				"Listing both runs every distributed cell under each engine on identical seeds")
+		epsilons    = flag.String("eps", "0.5", "comma-separated ε grid")
+		powers      = flag.String("powers", "2", "comma-separated graph powers r")
 		trials      = flag.Int("trials", 1, "seeded repetitions per scenario cell")
 		rootSeed    = flag.Int64("root-seed", 1, "root seed deriving every per-job seed")
 		oracleN     = flag.Int("oracle-n", 48, "solve exactly and report ratios when n ≤ this (0 disables)")
@@ -75,9 +72,9 @@ func run() error {
 			"comma-separated Phase-II gather modes at power ≠ 2 ("+strings.Join(harness.GatherNames(), ", ")+
 				"); empty = sparsified. Listing both runs each cell under both modes on identical "+
 				"seeds — a live differential of the sparsifier")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0,
-			"split each batch-engine job's round sweep across this many workers "+
+		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		shards  = flag.Int("shards", 0,
+			"split each distributed job's round sweep across this many workers "+
 				"(0 = spec value or sequential; output is byte-identical at any shard count)")
 		outDir   = flag.String("out", "bench-out", "output directory")
 		traceDir = flag.String("trace", "",
@@ -86,8 +83,8 @@ func run() error {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060) for the run's duration")
-		quiet   = flag.Bool("quiet", false, "suppress per-job progress on stderr")
-		strict  = flag.Bool("strict", false,
+		quiet      = flag.Bool("quiet", false, "suppress per-job progress on stderr")
+		strict     = flag.Bool("strict", false,
 			"exit non-zero if any job fails, any solution fails its Gʳ feasibility check, or any "+
 				"leader solve degrades to the kernel-fallback path (CI smoke gates)")
 	)
@@ -99,7 +96,7 @@ func run() error {
 	}
 
 	spec, err := buildSpec(*specPath, *name, *generators, *sizes, *algorithms,
-		*epsilons, *powers, *engines, *localSolver, *trials, *rootSeed, *oracleN)
+		*epsilons, *powers, *localSolver, *trials, *rootSeed, *oracleN)
 	if err != nil {
 		return err
 	}
@@ -161,13 +158,9 @@ func run() error {
 			if r.Error != "" {
 				status = "ERROR " + r.Error
 			}
-			eng := ""
-			if r.Engine != "" {
-				eng = " eng=" + r.Engine
-			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s n=%d r=%d %s eps=%g%s trial=%d: %s\n",
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s n=%d r=%d %s eps=%g trial=%d: %s\n",
 				p.Done, p.Total, r.Generator.Key(), r.N, r.Power, r.Algorithm,
-				r.Epsilon, eng, r.Trial, status)
+				r.Epsilon, r.Trial, status)
 		}
 	}
 
@@ -245,9 +238,6 @@ func printRegistry(w io.Writer) {
 		if a.Exact {
 			tags = append(tags, "exact")
 		}
-		if a.NativeStep {
-			tags = append(tags, "native-step")
-		}
 		fmt.Fprintf(w, "  %-17s %-12s %-4s [%s]\n", a.Name, a.Model, a.Problem, strings.Join(tags, ","))
 		fmt.Fprintf(w, "  %-17s %s\n", "", a.Description)
 		if a.Estimator != "" {
@@ -261,11 +251,6 @@ func printRegistry(w io.Writer) {
 	for _, g := range harness.GeneratorNames() {
 		fmt.Fprintf(w, "  %-21s %s\n", g, harness.GeneratorDescription(g))
 	}
-	fmt.Fprintln(w, "\nengine modes:")
-	fmt.Fprintf(w, "  %-11s %s\n", "goroutine", "one goroutine per node, channel-rendezvous barrier (the default)")
-	fmt.Fprintf(w, "  %-11s %s\n", "batch", "single-scheduler round sweeps; native stepping for all registry algorithms (fast at large n)")
-	fmt.Fprintln(w, "\nListing several engine modes in a spec runs every distributed cell under each engine")
-	fmt.Fprintln(w, "on identical seeds, which makes the sweep a live engine-differential test.")
 	fmt.Fprintln(w, "\nlocal solvers (Phase-II leader, spec localSolver / -local-solver):")
 	for _, s := range harness.LocalSolverInfos() {
 		fmt.Fprintf(w, "  %-13s %s\n", s.Name, s.Description)
@@ -276,7 +261,7 @@ func printRegistry(w io.Writer) {
 	}
 }
 
-func buildSpec(specPath, name, generators, sizes, algorithms, epsilons, powers, engines, localSolver string,
+func buildSpec(specPath, name, generators, sizes, algorithms, epsilons, powers, localSolver string,
 	trials int, rootSeed int64, oracleN int) (*harness.Spec, error) {
 	if specPath != "" {
 		return harness.LoadSpec(specPath)
@@ -306,7 +291,6 @@ func buildSpec(specPath, name, generators, sizes, algorithms, epsilons, powers, 
 		Powers:      rs,
 		Algorithms:  splitCSV(algorithms),
 		Epsilons:    eps,
-		EngineModes: splitCSV(engines),
 		OracleN:     oracleN,
 		LocalSolver: localSolver,
 	}

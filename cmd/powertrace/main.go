@@ -12,9 +12,9 @@
 // is a typed JSON record, files open with a job header and close with a
 // job-end seal, round events are monotone from zero and account for every
 // counted round, their sums reproduce the run-end totals exactly, and every
-// span instance closes with begin ≤ end inside the run's round range. Span
-// mark order within a round is unspecified (the goroutine engine interleaves
-// nodes), so all span checks are order-insensitive aggregates. Centralized
+// span instance closes with begin ≤ end inside the run's round range. All
+// span checks are order-insensitive aggregates, so they hold whatever order
+// marks arrive in within a round. Centralized
 // jobs never touch the simulator; their files legitimately hold only the
 // job header and seal.
 package main
@@ -121,7 +121,6 @@ type jobHeader struct {
 	Algorithm string  `json:"algorithm"`
 	N         int     `json:"n"`
 	Power     int     `json:"power"`
-	Engine    string  `json:"engine"`
 	Epsilon   float64 `json:"epsilon"`
 	Seed      int64   `json:"seed"`
 }
@@ -362,8 +361,8 @@ func (tr *trace) oneLine() string {
 	if tr.Info == nil {
 		return fmt.Sprintf("job %d %s (centralized, no engine events)", tr.Job.Index, tr.Job.Algorithm)
 	}
-	return fmt.Sprintf("job %d %s n=%d r=%d %s: %d rounds, %d span marks, %d kernel solves",
-		tr.Job.Index, tr.Job.Algorithm, tr.Job.N, tr.Job.Power, tr.Info.Engine,
+	return fmt.Sprintf("job %d %s n=%d r=%d: %d rounds, %d span marks, %d kernel solves",
+		tr.Job.Index, tr.Job.Algorithm, tr.Job.N, tr.Job.Power,
 		len(tr.Rounds), len(tr.Begins)+len(tr.Ends), len(tr.Kernels))
 }
 
@@ -408,7 +407,7 @@ func (tr *trace) renderText(w io.Writer) {
 }
 
 var timelineCSVHeader = []string{
-	"job", "algorithm", "n", "power", "engine",
+	"job", "algorithm", "n", "power",
 	"round", "active", "msgs", "bits", "maxLink", "phases",
 }
 
@@ -453,7 +452,7 @@ func (tr *trace) renderCSV(cw *csvOnce) {
 	for _, ev := range tr.Rounds {
 		cw.write([]string{
 			strconv.Itoa(tr.Job.Index), tr.Job.Algorithm,
-			strconv.Itoa(tr.Job.N), strconv.Itoa(tr.Job.Power), tr.Info.Engine,
+			strconv.Itoa(tr.Job.N), strconv.Itoa(tr.Job.Power),
 			strconv.Itoa(ev.Round), strconv.Itoa(ev.Active),
 			strconv.FormatInt(ev.Messages, 10), strconv.FormatInt(ev.Bits, 10),
 			strconv.FormatInt(ev.MaxLink, 10), phasesAt(ivs, ev.Round),

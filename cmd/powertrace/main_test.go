@@ -77,10 +77,10 @@ func TestTimelineAccountsForEveryRound(t *testing.T) {
 	}
 	var phased bool
 	for i, rec := range recs[1:] {
-		if rec[5] != strconv.Itoa(i) {
-			t.Fatalf("row %d carries round %s", i, rec[5])
+		if rec[4] != strconv.Itoa(i) {
+			t.Fatalf("row %d carries round %s", i, rec[4])
 		}
-		if rec[10] != "" {
+		if rec[9] != "" {
 			phased = true
 		}
 	}

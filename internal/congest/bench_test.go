@@ -7,40 +7,18 @@ import (
 	"powergraph/internal/graph"
 )
 
-// BenchmarkEngineModes compares the two execution engines (and the native
-// step path) on the simulator's canonical hot loop: R rounds of full
-// neighbor exchange. This isolates engine overhead — scheduling, barriers,
-// outbox/inbox management — from algorithm-local work. Run it with
-// `make bench-engine`.
+// BenchmarkEngineModes prices the engine on the simulator's canonical hot
+// loop: R rounds of full neighbor exchange by a step program. This isolates
+// engine overhead — stepping, outbox/inbox management, delivery — from
+// algorithm-local work. Run it with `make bench-engine`.
 func BenchmarkEngineModes(b *testing.B) {
 	const rounds = 50
 	for _, n := range []int{256, 1024, 2048} {
 		g := graph.ConnectedGNP(n, 8/float64(n), newRand(1))
 		w := IDBits(n)
-		handler := func(nd *Node) (int, error) {
-			sum := 0
-			for r := 0; r < rounds; r++ {
-				nd.Broadcast(NewIntWidth(int64(nd.ID()), w))
-				nd.NextRound()
-				sum += len(nd.Recv())
-			}
-			return sum, nil
-		}
-		for _, mode := range []EngineMode{EngineGoroutine, EngineBatch} {
-			b.Run(fmt.Sprintf("n=%d/handler/%s", n, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(Config{Graph: g, Engine: mode}, handler); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportNodeRounds(b, n, rounds)
-			})
-		}
-		b.Run(fmt.Sprintf("n=%d/program/batch", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/program", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := RunProgram(Config{Graph: g, Engine: EngineBatch},
-					func(nd *Node) StepProgram[int] { return &exchangeProgram{rounds: rounds, width: w} })
-				if err != nil {
+				if _, err := runExchange(Config{Graph: g}, rounds, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -53,7 +31,8 @@ func reportNodeRounds(b *testing.B, n, rounds int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*rounds), "ns/node-round")
 }
 
-// exchangeProgram is the step-structured form of the benchmark handler.
+// exchangeProgram is the benchmark workload: every node broadcasts its id
+// for rounds rounds and counts what arrives.
 type exchangeProgram struct {
 	rounds int
 	width  int
@@ -72,3 +51,8 @@ func (p *exchangeProgram) Step(nd *Node) (bool, error) {
 }
 
 func (p *exchangeProgram) Output() int { return p.sum }
+
+// runExchange runs exchangeProgram under cfg.
+func runExchange(cfg Config, rounds, width int) (*Result[int], error) {
+	return RunProgram(cfg, func(*Node) StepProgram[int] { return &exchangeProgram{rounds: rounds, width: width} })
+}

@@ -15,24 +15,18 @@
 // the bits crossing a vertex cut — the quantity bounded by the Alice–Bob
 // framework of Section 5.1.
 //
-// # Engine modes
+// # Execution
 //
-// Two execution engines serve the same Run/Config API and are selected by
-// Config.Engine; for a fixed Config (including Seed) they produce identical
-// outputs, round counts, and statistics:
-//
-//   - EngineGoroutine (the default) runs one goroutine per node with a
-//     channel-rendezvous barrier per round. Node programs are ordinary
-//     blocking functions, and handler work in one round runs concurrently
-//     across nodes, which helps when per-round local computation is heavy.
-//   - EngineBatch advances all nodes round-by-round on a single scheduler
-//     goroutine over flat, reusable per-round message buffers. Blocking
-//     handlers are adapted transparently (each node becomes a coroutine the
-//     scheduler resumes once per round); step-structured programs run as
-//     plain function calls with no per-node scheduling at all (see
-//     RunProgram). This mode removes the barrier, the per-round outbox
-//     maps, and almost all steady-state allocation, making thousand-node
-//     sweeps practical — see ARCHITECTURE.md for measurements.
+// Node programs are StepPrograms, and RunProgram is the one driver: each
+// round it calls every live node's Step once, in id order, as a plain
+// function call, then moves the round's messages from flat, reused per-node
+// outboxes into the inboxes. No goroutine, channel, or per-round map sits
+// in the round loop, and steady-state rounds allocate almost nothing, which
+// is what makes million-node runs practical. Config.Shards > 1 splits the
+// per-round node sweep across a persistent worker pool with byte-identical
+// results (see shard.go); ARCHITECTURE.md has measurements. For a fixed
+// Config (including Seed) a run's outputs, round counts, and statistics are
+// fully determined.
 package congest
 
 import (
@@ -68,46 +62,6 @@ func (m Model) String() string {
 	}
 }
 
-// EngineMode selects the execution engine; both modes implement the same
-// round semantics and produce identical results for a fixed Config.
-type EngineMode int
-
-const (
-	// EngineGoroutine is the original engine: one goroutine per node,
-	// barrier-synchronized via channel rendezvous.
-	EngineGoroutine EngineMode = iota
-	// EngineBatch is the batched event-driven engine: a single scheduler
-	// goroutine advances every node once per round over flat per-round
-	// message buffers. Preferred for large n and for sweeps that already
-	// parallelize across jobs.
-	EngineBatch
-)
-
-func (m EngineMode) String() string {
-	switch m {
-	case EngineGoroutine:
-		return "goroutine"
-	case EngineBatch:
-		return "batch"
-	default:
-		return fmt.Sprintf("EngineMode(%d)", int(m))
-	}
-}
-
-// ParseEngineMode maps a mode name to an EngineMode. The empty string means
-// the default (EngineGoroutine), so callers can thread an optional config
-// field straight through.
-func ParseEngineMode(s string) (EngineMode, error) {
-	switch s {
-	case "", "goroutine":
-		return EngineGoroutine, nil
-	case "batch", "event", "event-driven":
-		return EngineBatch, nil
-	default:
-		return 0, fmt.Errorf("congest: unknown engine mode %q (want goroutine or batch)", s)
-	}
-}
-
 // Message is any payload with an explicit size in bits. Implementations
 // declare the size their fields would need on a real link; the simulator
 // enforces the per-round budget against it.
@@ -125,16 +79,12 @@ type Incoming struct {
 type Config struct {
 	Graph *graph.Graph
 	Model Model
-	// Ctx, when non-nil, cancels an in-flight run: both engines check it at
-	// every round barrier and abort with an error wrapping ErrCanceled (and
+	// Ctx, when non-nil, cancels an in-flight run: the engine checks it at
+	// every round barrier and aborts with an error wrapping ErrCanceled (and
 	// the context's cause) as soon as it is done. nil means never canceled.
 	// This is what lets a server impose per-request deadlines on simulations
 	// that would otherwise run a 10⁶-node job to completion.
 	Ctx context.Context
-	// Engine selects the execution engine (default EngineGoroutine). Both
-	// engines yield identical results for identical configs; EngineBatch is
-	// markedly faster at large n.
-	Engine EngineMode
 	// BandwidthFactor scales the per-message budget B =
 	// BandwidthFactor·⌈log₂ n⌉ bits. Zero means the default of 4, enough
 	// for a constant number of IDs/weights per message as the paper's
@@ -142,13 +92,12 @@ type Config struct {
 	BandwidthFactor int
 	// MaxRounds aborts runaway algorithms. Zero means the default 1<<22.
 	MaxRounds int
-	// Shards splits the batch engine's per-round node sweep into that many
-	// contiguous node-id ranges advanced by a persistent worker pool, with
-	// per-shard staging buffers merged at the round barrier so results,
-	// Stats, and span summaries are byte-identical to the sequential sweep
-	// at any shard count (see shard.go). Values ≤ 1 mean the sequential
-	// sweep; the goroutine engine ignores the field (it is already
-	// concurrent per node). Negative values are rejected.
+	// Shards splits the per-round node sweep into that many contiguous
+	// node-id ranges advanced by a persistent worker pool, with per-shard
+	// staging buffers merged at the round barrier so results, Stats, and
+	// span summaries are byte-identical to the sequential sweep at any shard
+	// count (see shard.go). Values ≤ 1 mean the sequential sweep. Negative
+	// values are rejected.
 	Shards int
 	// Seed derives every node's private random stream; runs are
 	// deterministic given a seed.
@@ -186,24 +135,14 @@ type Result[T any] struct {
 	Stats   Stats
 }
 
-// Handler is a node program in blocking form: it communicates via the Node
-// handle, calls NextRound to cross round boundaries, and returns the node's
-// output. On the goroutine engine each handler runs on its own goroutine;
-// on the batch engine handlers are adapted transparently into per-round
-// coroutine steps.
-type Handler[T any] func(*Node) (T, error)
-
-// StepProgram is a node program in explicit step form: the engine calls
-// Step once per round, so each node's per-round logic runs as a plain
-// function call with no goroutine or channel in the loop. This is the
-// native (fastest) shape for the batch engine; on the goroutine engine the
-// program is wrapped in a blocking handler, so one implementation serves
-// both modes.
+// StepProgram is a node program: the engine calls Step once per round, so
+// each node's per-round logic runs as a plain function call with no
+// goroutine or channel in the loop.
 //
 // Step sees the messages delivered this round via nd.Recv and queues sends
-// for the next round; returning done = true finishes the node (messages it
-// queued in that final step are still delivered, exactly as for a handler
-// that sends and returns).
+// for the next round; returning from Step is the round boundary. Returning
+// done = true finishes the node (messages it queued in that final step are
+// still delivered).
 type StepProgram[T any] interface {
 	// Step runs this node's logic for the current round.
 	Step(nd *Node) (done bool, err error)
@@ -229,15 +168,14 @@ func IDBits(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// nodePanic is the sentinel carried by internal panics that abort a node
-// goroutine; it never escapes the package.
+// nodePanic is the sentinel carried by internal panics that abort a node's
+// step (MustSend violations); it never escapes the package.
 type nodePanic struct{ err error }
 
 // Node is the handle a node program uses to interact with the simulation.
-// A Node must only be used from the goroutine running its handler (or, for
-// step programs on the batch engine, from inside Step).
+// A Node must only be used from inside its program's Step.
 type Node struct {
-	id int
+	id  int
 	eng *engine
 	// rng is created lazily on the first Rand call: a rand.Source carries a
 	// multi-kilobyte state vector, so eagerly seeding every node costs
@@ -246,18 +184,13 @@ type Node struct {
 	inbox []Incoming
 	round int
 
-	// sh points at this node's shard staging buffers during a sharded batch
-	// round sweep (see shard.go); nil on the sequential sweep and on the
-	// goroutine engine.
+	// sh points at this node's shard staging buffers during a sharded round
+	// sweep (see shard.go); nil on the sequential sweep.
 	sh *shardState
 
-	// outbox is the goroutine engine's per-round send buffer, recreated
-	// after every delivery.
-	outbox map[int]Message
-
-	// The batch engine's send buffers: flat parallel (destination, message)
-	// slices truncated and reused across rounds, with a round-stamped map
-	// replacing the per-round outbox map for duplicate-send detection.
+	// The send buffers: flat parallel (destination, message) slices
+	// truncated and reused across rounds, with a round-stamped map for
+	// duplicate-send detection.
 	// Broadcasts take a fast path that skips the per-destination checks
 	// (destinations are valid and duplicate-free by construction) and
 	// record themselves in the round-stamped bcastAll/bcastNbrs guards so
@@ -267,11 +200,6 @@ type Node struct {
 	sentRound map[int]int
 	bcastAll  int
 	bcastNbrs int
-
-	// yield parks this node's coroutine until the batch scheduler resumes
-	// it for the next round; set by the coroutine adapter, nil for step
-	// programs (which never call NextRound).
-	yield func(struct{}) bool
 }
 
 // ID returns this node's identifier (0…n-1). The paper's algorithms use ids
@@ -300,7 +228,7 @@ func (nd *Node) Weight() int64 { return nd.eng.g.Weight(nd.id) }
 
 // Rand returns this node's private deterministic random stream (created on
 // first use; the stream depends only on Config.Seed and the node id, never
-// on engine mode or shard count).
+// on the shard count).
 func (nd *Node) Rand() *rand.Rand {
 	if nd.rng == nil {
 		nd.rng = rand.New(rand.NewSource(nd.eng.seedBase + int64(nd.id) + 1))
@@ -316,19 +244,15 @@ func (nd *Node) Send(to int, m Message) error {
 	if err := nd.sendCheck(to, m); err != nil {
 		return err
 	}
-	if nd.eng.mode == EngineBatch {
-		if nd.sentRound == nil {
-			nd.sentRound = make(map[int]int, 8)
-		}
-		nd.sentRound[to] = nd.eng.stamp
-		nd.queue(to, m)
-	} else {
-		nd.outbox[to] = m
+	if nd.sentRound == nil {
+		nd.sentRound = make(map[int]int, 8)
 	}
+	nd.sentRound[to] = nd.eng.stamp
+	nd.queue(to, m)
 	return nil
 }
 
-// queue appends one message to the batch outbox, registering this node as a
+// queue appends one message to the outbox, registering this node as a
 // sender for the current round on its first send.
 func (nd *Node) queue(to int, m Message) {
 	if len(nd.outDst) == 0 {
@@ -357,15 +281,9 @@ func (nd *Node) sendCheck(to int, m Message) error {
 	if nd.eng.model == CONGEST && !nd.eng.g.HasEdge(nd.id, to) {
 		return fmt.Errorf("congest: node %d: %d is not a neighbor", nd.id, to)
 	}
-	dup := false
-	if nd.eng.mode == EngineBatch {
-		dup = nd.sentRound[to] == nd.eng.stamp ||
-			nd.bcastAll == nd.eng.stamp ||
-			(nd.bcastNbrs == nd.eng.stamp && nd.eng.g.HasEdge(nd.id, to))
-	} else {
-		_, dup = nd.outbox[to]
-	}
-	if dup {
+	if nd.sentRound[to] == nd.eng.stamp ||
+		nd.bcastAll == nd.eng.stamp ||
+		(nd.bcastNbrs == nd.eng.stamp && nd.eng.g.HasEdge(nd.id, to)) {
 		return fmt.Errorf("congest: node %d: second message to %d in round %d", nd.id, to, nd.round)
 	}
 	if b := m.Bits(); b > nd.eng.bandwidth {
@@ -376,7 +294,7 @@ func (nd *Node) sendCheck(to int, m Message) error {
 
 // MustSend is Send for messages that are correct by construction; a failure
 // aborts the whole simulation with the underlying error (it is converted to
-// an error return of Run, never a caller-visible panic).
+// an error return of RunProgram, never a caller-visible panic).
 func (nd *Node) MustSend(to int, m Message) {
 	if err := nd.Send(to, m); err != nil {
 		panic(nodePanic{err})
@@ -387,7 +305,7 @@ func (nd *Node) MustSend(to int, m Message) {
 // (CONGESTED CLIQUE).
 func (nd *Node) Broadcast(m Message) {
 	if nd.eng.model == CongestedClique {
-		if nd.eng.mode == EngineBatch && len(nd.outDst) == 0 {
+		if len(nd.outDst) == 0 {
 			nd.fastBroadcast(m, nil)
 			return
 		}
@@ -406,7 +324,7 @@ func (nd *Node) Broadcast(m Message) {
 // when the network runs in CONGESTED CLIQUE mode (all of
 // congest/primitives does).
 func (nd *Node) BroadcastNeighbors(m Message) {
-	if nd.eng.mode == EngineBatch && len(nd.outDst) == 0 {
+	if len(nd.outDst) == 0 {
 		nd.fastBroadcast(m, nd.eng.g.Adj(nd.id))
 		return
 	}
@@ -415,7 +333,7 @@ func (nd *Node) BroadcastNeighbors(m Message) {
 	}
 }
 
-// fastBroadcast is the batch engine's broadcast fast path, valid only when
+// fastBroadcast is the broadcast fast path, valid only when
 // nothing was queued yet this round (the caller checked): destinations are
 // distinct and reachable by construction, so the per-destination checks
 // reduce to one bandwidth test, and the round-stamped guard keeps later
@@ -431,8 +349,7 @@ func (nd *Node) fastBroadcast(m Message, adj []int) {
 		return
 	}
 	if b := m.Bits(); b > nd.eng.bandwidth {
-		// Same failure the goroutine engine reports from MustSend's check
-		// on the first destination.
+		// Same failure MustSend's check reports on the first destination.
 		panic(nodePanic{fmt.Errorf("congest: node %d: message of %d bits exceeds budget %d", nd.id, b, nd.eng.bandwidth)})
 	}
 	nd.registerSender()
@@ -504,32 +421,3 @@ func (nd *Node) RecvFrom(from int) (Message, bool) {
 	}
 	return nil, false
 }
-
-// NextRound submits this round's messages and blocks until every node has
-// done the same; it then makes the messages sent to this node available via
-// Recv. Step programs driven by the batch engine never call NextRound —
-// returning from Step is the round boundary.
-func (nd *Node) NextRound() {
-	if nd.eng.mode == EngineBatch {
-		if nd.yield == nil {
-			panic(nodePanic{fmt.Errorf("congest: node %d: NextRound called from a StepProgram (returning from Step is the round boundary)", nd.id)})
-		}
-		// Hand control back to the batch scheduler; the yield returns when
-		// the scheduler resumes this node for the next round, or reports
-		// false when the run was aborted while the node was parked.
-		if !nd.yield(struct{}{}) {
-			panic(nodePanic{errAborted})
-		}
-		nd.round++
-		return
-	}
-	nd.eng.arrive <- arrival{id: nd.id, done: false}
-	select {
-	case <-nd.eng.resume[nd.id]:
-		nd.round++
-	case <-nd.eng.abort:
-		panic(nodePanic{errAborted})
-	}
-}
-
-var errAborted = errors.New("congest: simulation aborted")

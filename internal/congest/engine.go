@@ -3,25 +3,27 @@ package congest
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"powergraph/internal/bitset"
 	"powergraph/internal/obs"
 )
 
-type arrival struct {
-	id   int
-	done bool
-}
+// The engine: a single scheduler goroutine advances every node once per
+// round (in id order) and then moves all queued messages from the flat
+// per-node outbox slices into the inbox slices, reusing the buffers across
+// rounds. There is no per-node goroutine, no channel, and no per-round map
+// allocation in the loop.
+//
+// Determinism follows from three invariants: nodes only interact at round
+// boundaries, senders are processed in id order (so inboxes are sorted by
+// sender), and a round is counted (and its messages delivered) exactly when
+// at least one node is still running after the sweep.
 
-// engine is the per-run simulation state shared by both execution engines.
-// Exactly one driver (loop for EngineGoroutine, runBatch for EngineBatch)
-// touches the scheduling fields of a given instance.
+// engine is the per-run simulation state.
 type engine struct {
 	g         graphLike
 	model     Model
-	mode      EngineMode
 	bandwidth int
 	maxRounds int
 	cutA      *bitset.Set
@@ -35,27 +37,17 @@ type engine struct {
 	mu       sync.Mutex
 	firstErr error
 
-	// abort, when closed, unblocks every node still parked at a round
-	// boundary (both engines).
-	abort chan struct{}
-
-	// Goroutine-engine scheduling: nodes rendezvous on arrive, the driver
-	// releases them via per-node resume channels.
-	arrive    chan arrival
-	resume    []chan struct{}
-	doneCount int
-
-	// Batch-engine scheduling: stamp is the current round's duplicate-send
-	// guard value (round index + 1, never zero); senders lists the nodes
-	// that queued messages this round (ascending, because the sweep runs in
-	// id order) and receivers the nodes whose inboxes are non-empty, so
-	// delivery cost scales with actual traffic instead of n.
+	// Scheduling: stamp is the current round's duplicate-send guard value
+	// (round index + 1, never zero); senders lists the nodes that queued
+	// messages this round (ascending, because the sweep runs in id order)
+	// and receivers the nodes whose inboxes are non-empty, so delivery cost
+	// scales with actual traffic instead of n.
 	stamp     int
 	senders   []int
 	receivers []int
 
-	// Sharded batch scheduling (see shard.go): shards is the worker count
-	// for the per-round node sweep (≤ 1 means sequential), shardStates the
+	// Sharded scheduling (see shard.go): shards is the worker count for
+	// the per-round node sweep (≤ 1 means sequential), shardStates the
 	// per-shard staging buffers, and nodeSlab the backing array all Node
 	// values live in (one allocation instead of n).
 	shards      int
@@ -72,17 +64,17 @@ type engine struct {
 	seed       int64
 	seedBase   int64
 
-	// Per-round trace accounting, filled by deliver/deliverBatch: bits and
-	// messages delivered in the last completed round, and (only when
-	// wantRounds) the largest single message — which, at one message per
-	// directed link per round, is exactly the max single-link bit volume.
+	// Per-round trace accounting, filled by deliver: bits and messages
+	// delivered in the last completed round, and (only when wantRounds)
+	// the largest single message — which, at one message per directed link
+	// per round, is exactly the max single-link bit volume.
 	lastBits    int64
 	lastMsgs    int64
 	lastMaxLink int64
 
 	// Span reference counts: per-node begin/end marks collapse into one
-	// network-wide span event on the 0→1 and →0 transitions. spanMu also
-	// serializes tracer span calls from concurrent handler goroutines.
+	// network-wide span event on the 0→1 and →0 transitions. spanMu
+	// serializes the reference counts and the tracer span calls.
 	spanMu sync.Mutex
 	spans  map[spanKey]int
 }
@@ -96,9 +88,9 @@ type spanKey struct {
 // spanBegin records one node's span-begin mark, emitting the tracer event
 // on the first mark for this (name, index). The emitted mark carries the
 // cumulative message count as of the round boundary: marks fire while the
-// round's handlers run (or, sharded, at the barrier replay) — in both cases
+// round's steps run (or, sharded, at the barrier replay) — in both cases
 // before that round's delivery updates the counter — so the snapshot is the
-// traffic delivered before the mark's round, identically on every engine.
+// traffic delivered before the mark's round, at any shard count.
 func (e *engine) spanBegin(name string, index, round int) {
 	e.spanMu.Lock()
 	defer e.spanMu.Unlock()
@@ -140,7 +132,6 @@ func (e *engine) traceRunStart() {
 	e.tracer.RunStart(obs.RunInfo{
 		N:         e.g.N(),
 		Model:     e.model.String(),
-		Engine:    e.mode.String(),
 		Bandwidth: e.bandwidth,
 		MaxRounds: e.maxRounds,
 		Seed:      e.seed,
@@ -191,9 +182,9 @@ type graphLike interface {
 
 // ctxErr polls the run's context without blocking: nil while the run may
 // continue, an error wrapping ErrCanceled and the context's cause once it is
-// done. Every round loop calls it at the same position — right after the
-// MaxRounds check at the top of each round iteration — so all three drivers
-// abort at the same granularity: a clean round boundary.
+// done. Both round loops (sequential and sharded) call it at the same
+// position — right after the MaxRounds check at the top of each round
+// iteration — so they abort at the same granularity: a clean round boundary.
 func (e *engine) ctxErr() error {
 	if e.ctx == nil {
 		return nil
@@ -220,7 +211,7 @@ func (e *engine) getErr() error {
 	return e.firstErr
 }
 
-// nodeErr records a node failure. On a sharded batch sweep it is staged in
+// nodeErr records a node failure. On a sharded sweep it is staged in
 // the node's shard (each shard keeps its first error, i.e. its lowest-id
 // failing node, because the in-shard sweep is sequential in id order); the
 // barrier then adopts the lowest shard's error, reproducing exactly the
@@ -237,14 +228,11 @@ func (e *engine) nodeErr(nd *Node, err error) {
 }
 
 // newEngine validates cfg and builds the engine plus its nodes. It does not
-// special-case the empty graph — each Run entry point returns an empty
-// Result for n == 0 before driving the engine.
+// special-case the empty graph — RunProgram returns an empty Result for
+// n == 0 before driving the engine.
 func newEngine(cfg Config) (*engine, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("congest: nil graph")
-	}
-	if cfg.Engine != EngineGoroutine && cfg.Engine != EngineBatch {
-		return nil, fmt.Errorf("congest: unknown engine mode %d", int(cfg.Engine))
 	}
 	bwf := cfg.BandwidthFactor
 	if bwf == 0 {
@@ -264,20 +252,15 @@ func newEngine(cfg Config) (*engine, error) {
 	// Shard counts above n are allowed and simply leave some shards with
 	// empty node ranges; the sharded driver's merge handles them like any
 	// other shard (the stress suite runs such configurations on purpose).
-	shards := cfg.Shards
-	if shards < 1 || cfg.Engine != EngineBatch {
-		shards = 1
-	}
+	shards := max(cfg.Shards, 1)
 	eng := &engine{
 		g:         cfg.Graph,
 		model:     cfg.Model,
-		mode:      cfg.Engine,
 		bandwidth: bwf * IDBits(n),
 		maxRounds: maxRounds,
 		cutA:      cfg.CutA,
 		ctx:       cfg.Ctx,
 		shards:    shards,
-		abort:     make(chan struct{}),
 		tracer:    cfg.Tracer,
 		seed:      cfg.Seed,
 		seedBase:  cfg.Seed * 1_000_003,
@@ -286,40 +269,33 @@ func newEngine(cfg Config) (*engine, error) {
 		eng.wantRounds = cfg.Tracer.WantRounds()
 	}
 	eng.stats.Bandwidth = eng.bandwidth
-	// One slab allocation for all node state; per-node maps (goroutine
-	// outboxes, batch duplicate-send guards) and random streams are created
-	// lazily so a million-node run pays only for what its algorithm uses.
+	// One slab allocation for all node state; per-node duplicate-send guards
+	// and random streams are created lazily so a million-node run pays only
+	// for what its algorithm uses.
 	eng.nodeSlab = make([]Node, n)
 	eng.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
 		nd := &eng.nodeSlab[i]
 		nd.id = i
 		nd.eng = eng
-		if cfg.Engine != EngineBatch {
-			nd.outbox = make(map[int]Message)
-		}
 		eng.nodes[i] = nd
-	}
-	if cfg.Engine == EngineGoroutine {
-		eng.arrive = make(chan arrival, 2*n)
-		eng.resume = make([]chan struct{}, n)
-		for i := range eng.resume {
-			eng.resume[i] = make(chan struct{}, 1)
-		}
 	}
 	return eng, nil
 }
 
-// Run executes handler on every node of cfg.Graph under the configured
-// model and engine and returns each node's output plus run statistics.
-// Outputs[i] is node i's return value.
+// RunProgram executes a node program on every node of cfg.Graph under the
+// configured model and returns each node's output plus run statistics:
+// newProgram is called once per node (in id order, before round 0), the
+// resulting program's Step runs once per round, and Outputs[i] is node i's
+// Output. Every step is a plain method call — no goroutines, channels, or
+// barriers anywhere in the sequential round loop.
 //
-// The first error — from a handler, a MustSend violation, or the round
-// limit — aborts the run and is returned. Runs are deterministic for a
-// fixed Config (including Seed and Engine): nodes interact only at the
-// round barrier, and every node's randomness comes from its private stream.
-// The two engines produce identical results for identical configs.
-func Run[T any](cfg Config, handler Handler[T]) (*Result[T], error) {
+// The first error — from a Step, a MustSend violation or a panic inside a
+// Step, the round limit, or cancellation — aborts the run and is returned.
+// Runs are deterministic for a fixed Config (including Seed): nodes
+// interact only at the round barrier, and every node's randomness comes
+// from its private stream.
+func RunProgram[T any](cfg Config, newProgram func(nd *Node) StepProgram[T]) (*Result[T], error) {
 	eng, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -329,51 +305,12 @@ func Run[T any](cfg Config, handler Handler[T]) (*Result[T], error) {
 		return &Result[T]{}, nil
 	}
 	outputs := make([]T, n)
-	if eng.mode == EngineBatch {
-		adapterRuns.Add(1)
-		steppers := make([]stepper, n)
-		for i := 0; i < n; i++ {
-			steppers[i] = &coroStepper[T]{eng: eng, nd: eng.nodes[i], handler: handler, outputs: outputs}
-		}
-		if err := eng.runBatchToCompletion(steppers); err != nil {
-			return nil, err
-		}
-		return &Result[T]{Outputs: outputs, Stats: eng.stats}, nil
+	progs := make([]StepProgram[T], n)
+	for i, nd := range eng.nodes {
+		progs[i] = newProgram(nd)
 	}
-
 	eng.traceRunStart()
-	for i := 0; i < n; i++ {
-		go func(nd *Node) {
-			defer func() {
-				if r := recover(); r != nil {
-					if np, ok := r.(nodePanic); ok {
-						if np.err != errAborted {
-							eng.setErr(np.err)
-						}
-					} else {
-						eng.setErr(fmt.Errorf("congest: node %d panicked: %v [%s]", nd.id, r, obs.StackSummary(2, 6)))
-					}
-				}
-				eng.arrive <- arrival{id: nd.id, done: true}
-			}()
-			out, err := handler(nd)
-			if err != nil {
-				eng.setErr(fmt.Errorf("congest: node %d: %w", nd.id, err))
-				return
-			}
-			outputs[nd.id] = out
-		}(eng.nodes[i])
-	}
-
-	runErr := eng.loop()
-	// Unblock any node still parked at the barrier and wait for every
-	// goroutine to finish, so no goroutine outlives Run.
-	close(eng.abort)
-	for eng.doneCount < n {
-		if a := <-eng.arrive; a.done {
-			eng.doneCount++
-		}
-	}
+	runErr := eng.run(func(nd *Node) bool { return stepNode(nd, progs[nd.id], outputs) })
 	if runErr == nil {
 		runErr = eng.getErr()
 	}
@@ -384,53 +321,53 @@ func Run[T any](cfg Config, handler Handler[T]) (*Result[T], error) {
 	return &Result[T]{Outputs: outputs, Stats: eng.stats}, nil
 }
 
-// RunProgram executes a step-structured algorithm: newProgram is called once
-// per node (in id order, before round 0) and the resulting program's Step
-// runs once per round. On EngineBatch every step is a plain method call —
-// no goroutines, channels, or barriers anywhere in the round loop; on
-// EngineGoroutine the program is wrapped in a blocking handler, so one
-// implementation serves both modes with identical results.
-func RunProgram[T any](cfg Config, newProgram func(nd *Node) StepProgram[T]) (*Result[T], error) {
-	if cfg.Engine != EngineBatch {
-		return Run(cfg, func(nd *Node) (T, error) {
-			prog := newProgram(nd)
-			for {
-				done, err := prog.Step(nd)
-				if err != nil {
-					var zero T
-					return zero, err
-				}
-				if done {
-					return prog.Output(), nil
-				}
-				nd.NextRound()
+// stepNode advances one node by one round and reports whether it finished.
+// A failing step (error, MustSend violation, or panic) records the node's
+// error and finishes the node; the round loop aborts after the sweep.
+func stepNode[T any](nd *Node, prog StepProgram[T], outputs []T) (done bool) {
+	nd.round = nd.eng.stamp - 1
+	defer func() {
+		if r := recover(); r != nil {
+			if np, ok := r.(nodePanic); ok {
+				nd.eng.nodeErr(nd, np.err)
+			} else {
+				nd.eng.nodeErr(nd, fmt.Errorf("congest: node %d panicked: %v [%s]", nd.id, r, obs.StackSummary(2, 6)))
 			}
-		})
-	}
-	eng, err := newEngine(cfg)
+			done = true
+		}
+	}()
+	done, err := prog.Step(nd)
 	if err != nil {
-		return nil, err
+		nd.eng.nodeErr(nd, fmt.Errorf("congest: node %d: %w", nd.id, err))
+		return true
 	}
-	n := cfg.Graph.N()
-	if n == 0 {
-		return &Result[T]{}, nil
+	if done {
+		outputs[nd.id] = prog.Output()
 	}
-	outputs := make([]T, n)
-	steppers := make([]stepper, n)
-	for i := 0; i < n; i++ {
-		steppers[i] = &progStepper[T]{eng: eng, nd: eng.nodes[i], prog: newProgram(eng.nodes[i]), outputs: outputs}
-	}
-	if err := eng.runBatchToCompletion(steppers); err != nil {
-		return nil, err
-	}
-	return &Result[T]{Outputs: outputs, Stats: eng.stats}, nil
+	return done
 }
 
-// loop drives barrier rounds until every node's handler has returned, a
-// handler fails, or the round limit is reached. It returns the abort cause,
-// or nil on clean termination.
-func (e *engine) loop() error {
-	active := len(e.nodes)
+// errMaxRounds builds the round-limit abort error; the sequential and the
+// sharded loop report it identically.
+func errMaxRounds(limit int) error {
+	return fmt.Errorf("%w (%d)", ErrMaxRounds, limit)
+}
+
+// run is the round loop: step advances one node by one round and reports
+// whether it finished. It returns the abort cause, or nil once every node
+// has finished. With Config.Shards > 1 the sweep is delegated to the
+// sharded driver (shard.go), which stages per-shard side effects and merges
+// them at the barrier so its output is byte-identical to this sequential
+// loop.
+func (e *engine) run(step func(nd *Node) bool) error {
+	if e.shards > 1 {
+		return e.runSharded(step)
+	}
+	alive := make([]bool, len(e.nodes))
+	for i := range alive {
+		alive[i] = true
+	}
+	live := len(e.nodes)
 	for round := 0; ; round++ {
 		if round > e.maxRounds {
 			return errMaxRounds(e.maxRounds)
@@ -438,58 +375,53 @@ func (e *engine) loop() error {
 		if err := e.ctxErr(); err != nil {
 			return err
 		}
-		waiting := make([]int, 0, active)
-		for got := 0; got < active; got++ {
-			a := <-e.arrive
-			if a.done {
-				e.doneCount++
-			} else {
-				waiting = append(waiting, a.id)
+		// stamp doubles as the duplicate-send guard for this round; it is
+		// round+1 so the zero value of a node's sentRound map never matches.
+		e.stamp = round + 1
+		for i, nd := range e.nodes {
+			if !alive[i] {
+				continue
+			}
+			if step(nd) {
+				alive[i] = false
+				live--
 			}
 		}
 		if err := e.getErr(); err != nil {
 			return err
 		}
-		active = len(waiting)
-		if active == 0 {
+		if live == 0 {
 			return nil
 		}
 		e.stats.Rounds++
 		e.deliver()
-		e.traceRound(round, active)
-		sort.Ints(waiting)
-		for _, id := range waiting {
-			e.resume[id] <- struct{}{}
-		}
+		e.traceRound(round, live)
 	}
 }
 
-// deliver moves all outboxes into inboxes, accounting bits. Senders are
-// processed in id order so every inbox is sorted by sender.
+// deliver moves every sending node's flat outbox into the destination
+// inboxes, accounting bits. Senders were registered in id order, so every
+// inbox stays sorted by sender; within one sender the queue order is
+// irrelevant because a sender queues at most one message per destination
+// per round. Only last round's receivers need their inboxes cleared, so a
+// quiet round costs nothing per idle node.
 func (e *engine) deliver() {
-	for _, nd := range e.nodes {
-		nd.inbox = nd.inbox[:0]
+	for _, id := range e.receivers {
+		e.nodes[id].inbox = e.nodes[id].inbox[:0]
 	}
+	e.receivers = e.receivers[:0]
 	var roundBits, roundMsgs, maxLink int64
-	for _, nd := range e.nodes {
-		if len(nd.outbox) == 0 {
-			continue
-		}
-		dests := make([]int, 0, len(nd.outbox))
-		for to := range nd.outbox {
-			dests = append(dests, to)
-		}
-		sort.Ints(dests)
-		for _, to := range dests {
-			m := nd.outbox[to]
+	for _, sid := range e.senders {
+		nd := e.nodes[sid]
+		for k, to := range nd.outDst {
+			m := nd.outMsgs[k]
 			b := int64(m.Bits())
-			e.stats.Messages++
 			e.stats.TotalBits += b
 			roundBits += b
 			roundMsgs++
-			// At one message per directed link per round, the largest
-			// message is the max single-link bit volume; only paid for when
-			// a tracer asked for round events.
+			// One message per directed link per round, so the largest
+			// message is the max single-link bit volume this round; only
+			// paid for when a tracer asked for round events.
 			if e.wantRounds && b > maxLink {
 				maxLink = b
 			}
@@ -497,11 +429,18 @@ func (e *engine) deliver() {
 				e.stats.CutBits += b
 				e.stats.CutMessages++
 			}
-			e.nodes[to].inbox = append(e.nodes[to].inbox, Incoming{From: nd.id, Msg: m})
+			dst := e.nodes[to]
+			if len(dst.inbox) == 0 {
+				e.receivers = append(e.receivers, to)
+			}
+			dst.inbox = append(dst.inbox, Incoming{From: nd.id, Msg: m})
 		}
-		nd.outbox = make(map[int]Message, len(nd.outbox))
+		nd.outDst = nd.outDst[:0]
+		nd.outMsgs = nd.outMsgs[:0]
 	}
+	e.senders = e.senders[:0]
 	e.lastBits, e.lastMsgs, e.lastMaxLink = roundBits, roundMsgs, maxLink
+	e.stats.Messages += roundMsgs
 	if roundBits > e.stats.MaxRoundBits {
 		e.stats.MaxRoundBits = roundBits
 	}

@@ -7,21 +7,30 @@ import (
 	"powergraph/internal/graph"
 )
 
+// sumProgram broadcasts the node's id in round 0 and, one round later, sums
+// the ids that arrived.
+type sumProgram struct{ sum int }
+
+func (p *sumProgram) Step(nd *congest.Node) (bool, error) {
+	if nd.Round() == 0 {
+		nd.Broadcast(congest.NewIntWidth(int64(nd.ID()), congest.IDBits(nd.N())))
+		return false, nil
+	}
+	for _, in := range nd.Recv() {
+		p.sum += int(in.Msg.(congest.Int).V)
+	}
+	return true, nil
+}
+
+func (p *sumProgram) Output() int { return p.sum }
+
 // Example runs a one-round neighbor id exchange on a 4-cycle: every node
-// broadcasts its id, crosses the round barrier, and counts what arrived.
-// The same handler runs unchanged on either engine; here the batched
-// event-driven engine drives it.
+// broadcasts its id, returns from Step (the round barrier), and counts what
+// arrived in the next round.
 func Example() {
 	g := graph.Cycle(4)
-	cfg := congest.Config{Graph: g, Engine: congest.EngineBatch}
-	res, err := congest.Run(cfg, func(nd *congest.Node) (int, error) {
-		nd.Broadcast(congest.NewIntWidth(int64(nd.ID()), congest.IDBits(nd.N())))
-		nd.NextRound()
-		sum := 0
-		for _, in := range nd.Recv() {
-			sum += int(in.Msg.(congest.Int).V)
-		}
-		return sum, nil
+	res, err := congest.RunProgram(congest.Config{Graph: g}, func(nd *congest.Node) congest.StepProgram[int] {
+		return &sumProgram{}
 	})
 	if err != nil {
 		panic(err)
@@ -36,8 +45,8 @@ func Example() {
 }
 
 // minProgram is a step-structured node program: Step runs once per round as
-// a plain function call (no goroutine per node on the batch engine). It
-// floods the minimum id for n rounds.
+// a plain function call (no goroutine per node). It floods the minimum id
+// for n rounds.
 type minProgram struct {
 	best   int64
 	rounds int
@@ -59,11 +68,10 @@ func (p *minProgram) Step(nd *congest.Node) (bool, error) {
 
 func (p *minProgram) Output() int64 { return p.best }
 
-// ExampleRunProgram elects a leader (the minimum id) with a step program —
-// the shape the batch engine executes fastest.
+// ExampleRunProgram elects a leader (the minimum id) with a step program.
 func ExampleRunProgram() {
 	g := graph.Path(5)
-	cfg := congest.Config{Graph: g, Engine: congest.EngineBatch}
+	cfg := congest.Config{Graph: g}
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[int64] {
 		return &minProgram{best: int64(nd.ID())}
 	})

@@ -25,11 +25,57 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
+// stage is a test StepProgram over one step primitive (or a chain of them):
+// step advances it one slice, out reads its result once done.
+type stage[T any] struct {
+	step func(nd *congest.Node) bool
+	out  func() T
+}
+
+func (s *stage[T]) Step(nd *congest.Node) (bool, error) { return s.step(nd), nil }
+func (s *stage[T]) Output() T                           { return s.out() }
+
+// then runs first and, in the slice it completes, starts the stage next
+// builds from first's result — the composition contract of step.go.
+func then[A, B any](first *stage[A], next func(nd *congest.Node, a A) *stage[B]) *stage[B] {
+	var cur *stage[B]
+	return &stage[B]{
+		step: func(nd *congest.Node) bool {
+			if cur == nil {
+				if !first.step(nd) {
+					return false
+				}
+				cur = next(nd, first.out())
+			}
+			return cur.step(nd)
+		},
+		out: func() B { return cur.out() },
+	}
+}
+
+// bfsStage builds the BFS tree rooted at root.
+func bfsStage(nd *congest.Node, root int) *stage[Tree] {
+	s := NewStepBFSTree(nd, root)
+	return &stage[Tree]{step: s.Step, out: s.Tree}
+}
+
+// onTree builds the BFS tree rooted at 0, then runs the stage next builds
+// on it.
+func onTree[T any](nd *congest.Node, next func(nd *congest.Node, t *Tree) *stage[T]) *stage[T] {
+	return then(bfsStage(nd, 0), func(nd *congest.Node, t Tree) *stage[T] { return next(nd, &t) })
+}
+
+// runStages runs the per-node stage mk builds on every node.
+func runStages[T any](cfg congest.Config, mk func(nd *congest.Node) *stage[T]) (*congest.Result[T], error) {
+	return congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[T] { return mk(nd) })
+}
+
 func TestMinIDLeader(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			res, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) (int, error) {
-				return MinIDLeader(nd), nil
+			res, err := runStages(congest.Config{Graph: g}, func(nd *congest.Node) *stage[int] {
+				s := NewStepMinIDLeader(nd)
+				return &stage[int]{step: s.Step, out: s.Leader}
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -50,8 +96,8 @@ func TestBFSTree(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			root := g.N() / 2
-			res, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) (Tree, error) {
-				return BFSTree(nd, root), nil
+			res, err := runStages(congest.Config{Graph: g}, func(nd *congest.Node) *stage[Tree] {
+				return bfsStage(nd, root)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -77,13 +123,7 @@ func TestBFSTree(t *testing.T) {
 						t.Fatalf("node %d: parent depth mismatch", v)
 					}
 					// Child lists are consistent with parents.
-					found := false
-					for _, c := range res.Outputs[tr.Parent].Children {
-						if c == v {
-							found = true
-						}
-					}
-					if !found {
+					if !contains(res.Outputs[tr.Parent].Children, v) {
 						t.Fatalf("node %d missing from its parent's child list", v)
 					}
 				}
@@ -99,9 +139,11 @@ func TestBFSTree(t *testing.T) {
 func TestConvergecastSum(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			res, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) (int64, error) {
-				tr := BFSTree(nd, 0)
-				return ConvergecastSum(nd, tr, int64(nd.ID()+1)), nil
+			res, err := runStages(congest.Config{Graph: g}, func(nd *congest.Node) *stage[int64] {
+				return onTree(nd, func(nd *congest.Node, tr *Tree) *stage[int64] {
+					s := NewStepConvergecastSum(nd, tr, int64(nd.ID()+1))
+					return &stage[int64]{step: s.Step, out: s.Sum}
+				})
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -125,9 +167,11 @@ func TestBroadcastFromRoot(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// The value must fit the bandwidth budget even on tiny graphs
 			// (n=2 ⇒ B=4 bits), as the primitive's contract requires.
-			res, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) (int64, error) {
-				tr := BFSTree(nd, 0)
-				return BroadcastFromRoot(nd, tr, 13), nil
+			res, err := runStages(congest.Config{Graph: g}, func(nd *congest.Node) *stage[int64] {
+				return onTree(nd, func(nd *congest.Node, tr *Tree) *stage[int64] {
+					s := NewStepBroadcastFromRoot(nd, tr, 13)
+					return &stage[int64]{step: s.Step, out: s.Value}
+				})
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -141,32 +185,36 @@ func TestBroadcastFromRoot(t *testing.T) {
 	}
 }
 
+// gatherStage gathers items at the BFS root 0.
+func gatherStage(nd *congest.Node, items []congest.Message) *stage[[]congest.Message] {
+	return onTree(nd, func(nd *congest.Node, tr *Tree) *stage[[]congest.Message] {
+		s := NewStepGatherAtRoot(nd, tr, items)
+		return &stage[[]congest.Message]{step: s.Step, out: s.Collected}
+	})
+}
+
 func TestGatherAtRoot(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			res, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) (int, error) {
-				tr := BFSTree(nd, 0)
+			res, err := runStages(congest.Config{Graph: g}, func(nd *congest.Node) *stage[[]congest.Message] {
 				// Every node contributes (id+1) items carrying its id.
 				items := make([]congest.Message, nd.ID()+1)
 				for i := range items {
 					items[i] = congest.NewIntWidth(int64(nd.ID()), congest.IDBits(nd.N()))
 				}
-				got := GatherAtRoot(nd, tr, items)
-				if nd.ID() != 0 {
-					if got != nil {
-						return 0, fmt.Errorf("non-root received items")
-					}
-					return 0, nil
-				}
-				return len(got), nil
+				return gatherStage(nd, items)
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			for v := 1; v < g.N(); v++ {
+				if res.Outputs[v] != nil {
+					t.Fatalf("non-root %d received items", v)
+				}
+			}
 			n := g.N()
-			want := n * (n + 1) / 2
-			if res.Outputs[0] != want {
-				t.Fatalf("root collected %d items, want %d", res.Outputs[0], want)
+			if want := n * (n + 1) / 2; len(res.Outputs[0]) != want {
+				t.Fatalf("root collected %d items, want %d", len(res.Outputs[0]), want)
 			}
 		})
 	}
@@ -174,23 +222,16 @@ func TestGatherAtRoot(t *testing.T) {
 
 func TestGatherAtRootContentIntegrity(t *testing.T) {
 	g := graph.ConnectedGNP(20, 0.15, rand.New(rand.NewSource(3)))
-	res, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) (map[int64]int, error) {
-		tr := BFSTree(nd, 0)
-		items := []congest.Message{congest.NewIntWidth(int64(nd.ID()), congest.IDBits(nd.N()))}
-		got := GatherAtRoot(nd, tr, items)
-		if nd.ID() != 0 {
-			return nil, nil
-		}
-		counts := map[int64]int{}
-		for _, m := range got {
-			counts[m.(congest.Int).V]++
-		}
-		return counts, nil
+	res, err := runStages(congest.Config{Graph: g}, func(nd *congest.Node) *stage[[]congest.Message] {
+		return gatherStage(nd, []congest.Message{congest.NewIntWidth(int64(nd.ID()), congest.IDBits(nd.N()))})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := res.Outputs[0]
+	counts := map[int64]int{}
+	for _, m := range res.Outputs[0] {
+		counts[m.(congest.Int).V]++
+	}
 	for v := 0; v < g.N(); v++ {
 		if counts[int64(v)] != 1 {
 			t.Fatalf("item from node %d seen %d times", v, counts[int64(v)])
@@ -204,14 +245,12 @@ func TestGatherRoundsLinearInItems(t *testing.T) {
 	// the total item count, not quadratic.
 	rounds := func(c int) int {
 		g := graph.Path(30)
-		res, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) (int, error) {
-			tr := BFSTree(nd, 0)
+		res, err := runStages(congest.Config{Graph: g}, func(nd *congest.Node) *stage[[]congest.Message] {
 			items := make([]congest.Message, c)
 			for i := range items {
 				items[i] = congest.Flag{}
 			}
-			GatherAtRoot(nd, tr, items)
-			return 0, nil
+			return gatherStage(nd, items)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -226,21 +265,22 @@ func TestGatherRoundsLinearInItems(t *testing.T) {
 	}
 }
 
-func TestTwoHopMax(t *testing.T) {
-	g := graph.Path(7)
-	res, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) (int64, error) {
-		return TwoHopMax(nd, int64(nd.ID())), nil
+// twoHopMax runs NewStepTwoHopMax with each node's value from vals.
+func twoHopMax(g *graph.Graph, vals func(v int) int64) (*congest.Result[int64], error) {
+	return runStages(congest.Config{Graph: g}, func(nd *congest.Node) *stage[int64] {
+		s := NewStepTwoHopMax(vals(nd.ID()))
+		return &stage[int64]{step: s.Step, out: s.Max}
 	})
+}
+
+func TestTwoHopMax(t *testing.T) {
+	res, err := twoHopMax(graph.Path(7), func(v int) int64 { return int64(v) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	// On a path, max over closed 2-hop ball of i is min(i+2, 6).
 	for v, got := range res.Outputs {
-		want := int64(v + 2)
-		if want > 6 {
-			want = 6
-		}
-		if got != want {
+		if want := int64(min(v+2, 6)); got != want {
 			t.Fatalf("node %d: two-hop max %d, want %d", v, got, want)
 		}
 	}
@@ -257,9 +297,7 @@ func TestTwoHopMaxMatchesCentralized(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Int63n(1000)
 		}
-		res, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) (int64, error) {
-			return TwoHopMax(nd, vals[nd.ID()]), nil
-		})
+		res, err := twoHopMax(g, func(v int) int64 { return vals[v] })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,8 +320,7 @@ func TestTwoHopMaxMatchesCentralized(t *testing.T) {
 func TestFloodItemsFromRoot(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			res, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) ([]int64, error) {
-				tr := BFSTree(nd, 0)
+			res, err := runStages(congest.Config{Graph: g}, func(nd *congest.Node) *stage[[]congest.Message] {
 				var items []congest.Message
 				if nd.ID() == 0 {
 					// Root floods three ordered values.
@@ -291,19 +328,21 @@ func TestFloodItemsFromRoot(t *testing.T) {
 						items = append(items, congest.NewIntWidth(v, 4))
 					}
 				}
-				got := FloodItemsFromRoot(nd, tr, items)
-				out := make([]int64, 0, len(got))
-				for _, m := range got {
-					out = append(out, m.(congest.Int).V)
-				}
-				return out, nil
+				return onTree(nd, func(nd *congest.Node, tr *Tree) *stage[[]congest.Message] {
+					s := NewStepFloodItemsFromRoot(nd, tr, items)
+					return &stage[[]congest.Message]{step: s.Step, out: s.Items}
+				})
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for v, got := range res.Outputs {
-				if len(got) != 3 || got[0] != 7 || got[1] != 3 || got[2] != 11 {
-					t.Fatalf("node %d received %v (order must be preserved)", v, got)
+				vals := make([]int64, 0, len(got))
+				for _, m := range got {
+					vals = append(vals, m.(congest.Int).V)
+				}
+				if fmt.Sprint(vals) != "[7 3 11]" {
+					t.Fatalf("node %d received %v (order must be preserved)", v, vals)
 				}
 			}
 		})
@@ -314,16 +353,13 @@ func TestGatherRejectsOversizedItems(t *testing.T) {
 	// An item beyond the bandwidth budget must abort the run with an error
 	// (via the engine's panic-recovery path), not hang or truncate.
 	g := graph.Path(3)
-	_, err := congest.Run(congest.Config{Graph: g, BandwidthFactor: 1},
-		func(nd *congest.Node) (int, error) {
-			tr := BFSTree(nd, 0)
-			var items []congest.Message
-			if nd.ID() == 2 {
-				items = []congest.Message{congest.NewIntWidth(123456, 30)}
-			}
-			GatherAtRoot(nd, tr, items)
-			return 0, nil
-		})
+	_, err := runStages(congest.Config{Graph: g, BandwidthFactor: 1}, func(nd *congest.Node) *stage[[]congest.Message] {
+		var items []congest.Message
+		if nd.ID() == 2 {
+			items = []congest.Message{congest.NewIntWidth(123456, 30)}
+		}
+		return gatherStage(nd, items)
+	})
 	if err == nil {
 		t.Fatal("oversized gather item accepted")
 	}
@@ -333,13 +369,17 @@ func TestPrimitivesWorkInCliqueModel(t *testing.T) {
 	// The primitives speak strictly over G-edges, so their semantics must
 	// be identical under the CONGESTED CLIQUE model.
 	g := graph.Grid(3, 4)
+	var stats []congest.Stats
 	for _, model := range []congest.Model{congest.CONGEST, congest.CongestedClique} {
-		res, err := congest.Run(congest.Config{Graph: g, Model: model},
-			func(nd *congest.Node) (int64, error) {
-				tr := BFSTree(nd, 0)
-				sum := ConvergecastSum(nd, tr, int64(nd.ID()))
-				return BroadcastFromRoot(nd, tr, sum), nil
+		res, err := runStages(congest.Config{Graph: g, Model: model}, func(nd *congest.Node) *stage[int64] {
+			return then(bfsStage(nd, 0), func(nd *congest.Node, tr Tree) *stage[int64] {
+				sum := NewStepConvergecastSum(nd, &tr, int64(nd.ID()))
+				return then(&stage[int64]{step: sum.Step, out: sum.Sum}, func(nd *congest.Node, total int64) *stage[int64] {
+					s := NewStepBroadcastFromRoot(nd, &tr, total)
+					return &stage[int64]{step: s.Step, out: s.Value}
+				})
 			})
+		})
 		if err != nil {
 			t.Fatalf("%v: %v", model, err)
 		}
@@ -350,22 +390,9 @@ func TestPrimitivesWorkInCliqueModel(t *testing.T) {
 				t.Fatalf("%v: node %d got %d, want %d", model, v, got, want)
 			}
 		}
+		stats = append(stats, res.Stats)
 	}
-}
-
-func TestIdleKeepsLockstep(t *testing.T) {
-	g := graph.Path(4)
-	_, err := congest.Run(congest.Config{Graph: g}, func(nd *congest.Node) (int, error) {
-		if nd.ID() == 0 {
-			Idle(nd, 3)
-			return 0, nil
-		}
-		for i := 0; i < 3; i++ {
-			nd.NextRound()
-		}
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if stats[0] != stats[1] {
+		t.Fatalf("G-edge traffic differs across models:\nCONGEST: %+v\nclique:  %+v", stats[0], stats[1])
 	}
 }

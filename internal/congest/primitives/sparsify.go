@@ -135,8 +135,8 @@ func NewStepSparsify(r int, inU bool, uNbrs []int) *StepSparsify {
 // SparsifyRounds returns the exact number of communication rounds
 // StepSparsify spends at power r: one broadcast round per announcing label
 // layer (none announce at r ∈ {1, 2, 4}, layers 1..⌊r/2⌋ otherwise),
-// floored at one round so the stage always spans distinct handler
-// activations (the span-determinism requirement of the goroutine engine).
+// floored at one round so the stage's begin and end marks always fall in
+// distinct rounds.
 // The Phase-II gather's begin and end marks straddle exactly this many
 // rounds; tests assert against it.
 func SparsifyRounds(r int) int {

@@ -1,34 +1,40 @@
-package primitives
-
-import (
-	"fmt"
-
-	"powergraph/internal/congest"
-)
-
-// Step-form primitives.
+// Package primitives provides the reusable distributed building blocks the
+// paper's CONGEST algorithms are assembled from: leader election, BFS tree
+// construction, convergecast aggregation, root broadcast, pipelined gather
+// of arbitrary item streams at a root (the "leader learns F" step of
+// Lemma 2), hop maxima (the Phase-I symmetry breaking of Theorem 1), the
+// estimator floods of Theorem 28, and the shared Phase-I loops.
 //
-// Each Step* type is the explicit state-machine form of the blocking
-// primitive of the same name, for use inside congest.StepProgram
-// implementations: the per-round logic runs as a plain method call, which
-// is what lets the batch engine drive thousand-node networks without any
-// per-node goroutine or channel.
+// Each Step* type is an explicit state machine for use inside
+// congest.StepProgram implementations: its per-round logic runs as a plain
+// method call, which is what lets the engine drive million-node networks
+// without any per-node goroutine or channel.
 //
-// The composition contract mirrors how the blocking primitives chain
-// between two NextRound calls:
+// Every primitive is a collective operation: every node of the network
+// starts it in the same round, with consistent arguments, and it consumes
+// the same number of rounds at every node (round counts depend only on n
+// and on values made common knowledge beforehand). This lockstep contract
+// is what lets stages chain without any node waiting on another.
+//
+// All primitives communicate strictly over G-edges (Node.BroadcastNeighbors
+// and explicit neighbor sends, never Node.Broadcast), except the clique
+// collectives that exist for the CONGESTED CLIQUE model, so they keep their
+// G-structure semantics even when the network runs in CONGESTED CLIQUE
+// mode.
+//
+// The composition contract:
 //
 //   - Step is called exactly once per round-slice; it first consumes the
 //     messages delivered this round that belong to it, then queues this
 //     round's sends.
 //   - Step returns true in the slice after its final receive, having queued
 //     nothing, so the caller must start the next stage within the same
-//     slice (the same way blocking code calls the next primitive right
-//     after the previous one returns, before the next NextRound).
+//     slice.
 //
-// Every stage consumes the same rounds and sends byte-identical messages as
-// its blocking counterpart, so a program assembled from these stages is
-// indistinguishable — outputs and statistics — from the blocking handler it
-// replaces; TestStepPrimitivesMatchBlocking checks exactly that.
+// TestGoldenStepPrimitives pins the composed CONGEST and clique chains —
+// every node's output and the full simulator accounting — against a
+// fixture, and the per-primitive tests check each stage's properties
+// directly.
 //
 // The primitives a program runs over and over — the hop maxima and the
 // estimator floods of Theorem 28 — are values that restart in place: the
@@ -38,9 +44,41 @@ import (
 // therefore allocates nothing per flood in steady state beyond boxing the
 // messages it sends; TestStepPrimitivesRestartMatchesFresh holds every
 // restarted run to a freshly constructed one.
+package primitives
 
-// StepMinIDLeader is the step form of MinIDLeader: n slices of minimum-id
-// flooding, done on slice n.
+import (
+	"fmt"
+
+	"powergraph/internal/congest"
+)
+
+// Tree is a node-local view of a rooted spanning tree.
+type Tree struct {
+	Root     int
+	Parent   int // -1 at the root
+	Depth    int // distance from the root
+	Children []int
+}
+
+func contains(s []int, v int) bool {
+	for _, x := range s {
+		if x == v {
+			return true
+		}
+	}
+	return false
+}
+
+// panicCollective aborts the run through the step-panic path (recovered by
+// the engine and surfaced as an error from congest.RunProgram).
+func panicCollective(msg string) {
+	panic(msg)
+}
+
+// StepMinIDLeader floods the minimum id through the network: on a connected
+// graph every node holds the same leader after exactly n slices (n ≥
+// diameter+1 guarantees quiescence). Done on slice n; messages carry one
+// id.
 type StepMinIDLeader struct {
 	n, w int
 	best int64
@@ -72,8 +110,11 @@ func (s *StepMinIDLeader) Step(nd *congest.Node) bool {
 // Leader returns the elected minimum id; valid once Step reported done.
 func (s *StepMinIDLeader) Leader() int { return int(s.best) }
 
-// StepBFSTree is the step form of BFSTree: n flood slices plus the child
-// notification round, done on slice n+1.
+// StepBFSTree builds a BFS spanning tree rooted at root and yields each
+// node's local view: depths equal BFS distances in G, and every parent is a
+// G-neighbor one level closer to the root (ties toward the smallest id).
+// The graph must be connected. n flood slices plus the child notification
+// round, done on slice n+1.
 type StepBFSTree struct {
 	n        int
 	t        Tree
@@ -126,8 +167,10 @@ func (s *StepBFSTree) Step(nd *congest.Node) bool {
 // Tree returns this node's local tree view; valid once Step reported done.
 func (s *StepBFSTree) Tree() Tree { return s.t }
 
-// StepConvergecastSum is the step form of ConvergecastSum: n slices, done
-// on slice n.
+// StepConvergecastSum aggregates the sum of every node's value at the root
+// of the tree; the root ends with the total, every other node with 0.
+// Values must be non-negative and small enough that the global sum fits in
+// the bandwidth budget. n slices, done on slice n.
 type StepConvergecastSum struct {
 	n       int
 	t       *Tree
@@ -172,8 +215,8 @@ func (s *StepConvergecastSum) Sum() int64 {
 	return 0
 }
 
-// StepBroadcastFromRoot is the step form of BroadcastFromRoot: n slices,
-// done on slice n.
+// StepBroadcastFromRoot floods a value from the tree's root to every node.
+// n slices, done on slice n.
 type StepBroadcastFromRoot struct {
 	n     int
 	t     *Tree
@@ -218,9 +261,14 @@ func (s *StepBroadcastFromRoot) Step(nd *congest.Node) bool {
 // Value returns the flooded value; valid once done.
 func (s *StepBroadcastFromRoot) Value() int64 { return s.v }
 
-// StepGatherAtRoot is the step form of GatherAtRoot: an internal
-// convergecast and broadcast make the total item count common knowledge,
-// then total+n pipeline slices stream every item to the root.
+// StepGatherAtRoot pipelines every node's items up the tree to the root,
+// which collects the concatenation of all items (in arbitrary but
+// deterministic order); other nodes collect nothing. Each item must
+// individually fit in the bandwidth budget. This is the pipelined upward
+// gather of Lemma 2: with c items per node it takes O(c·n) rounds. An
+// internal convergecast and broadcast make the total item count T common
+// knowledge, then T+n pipeline slices stream every item to the root: 2n+T
+// rounds in all.
 type StepGatherAtRoot struct {
 	t         *Tree
 	items     []congest.Message
@@ -298,9 +346,13 @@ func (s *StepGatherAtRoot) Collected() []congest.Message {
 	return nil
 }
 
-// StepFloodItemsFromRoot is the step form of FloodItemsFromRoot: the item
-// count becomes common knowledge, then total+n pipeline slices stream the
-// root's items to every node.
+// StepFloodItemsFromRoot pipelines the root's items down the tree; every
+// node ends with the full item list in the root's order (non-root callers'
+// items are ignored). Each item must fit the bandwidth budget. This is the
+// "solution can be distributed to all nodes in O(n) rounds" step of
+// Theorem 1's Phase II: the item count T becomes common knowledge, then
+// T+n pipeline slices stream the root's items to every node, 2n+T rounds
+// in all.
 type StepFloodItemsFromRoot struct {
 	t         *Tree
 	sub       int
@@ -370,7 +422,8 @@ func (s *StepFloodItemsFromRoot) Items() []congest.Message { return s.got }
 // StepHopMax floods a running maximum for a fixed number of hops (every
 // node sends every hop). After k hops each node holds the maximum over its
 // closed k-hop neighborhood. A positive width fixes the message size;
-// width ≤ 0 sends natural-width messages, the wire format of TwoHopMax.
+// width ≤ 0 sends natural-width messages (the wire format of
+// NewStepTwoHopMax).
 // Done on slice k. The zero value is ready for Restart, so programs embed it
 // by value and restart it in place instead of allocating one per flood.
 type StepHopMax struct {
@@ -392,9 +445,11 @@ func (s *StepHopMax) Restart(value int64, width, hops int) {
 	*s = StepHopMax{m: value, w: width, k: hops}
 }
 
-// NewStepTwoHopMax is the step form of TwoHopMax (2 natural-width flood
-// slices, done on slice 2): the "maximum ID in its two hop neighborhood"
-// test of Theorem 1's Phase I.
+// NewStepTwoHopMax returns the maximum of value over the closed 2-hop
+// neighborhood (self, neighbors, and neighbors' neighbors) in 2
+// natural-width flood slices, done on slice 2: the "maximum ID in its two
+// hop neighborhood" test of Theorem 1's Phase I. Values must be
+// non-negative.
 func NewStepTwoHopMax(value int64) *StepHopMax { return NewStepRHopMax(value, 2) }
 
 // NewStepRHopMax is the depth-parametric form of NewStepTwoHopMax: r
@@ -920,7 +975,7 @@ type VotingConfig struct {
 	IDWidth   int
 }
 
-// StepVotingPhase is the step form of the randomized-rounding Phase I shared
+// StepVotingPhase is the randomized-rounding Phase I shared
 // by Section 3.3 (plain CONGEST) and Theorem 11 (CONGESTED CLIQUE): each
 // iteration exchanges live status, lets candidates announce random ranks,
 // has live vertices vote for their highest-ranked incident candidate, and
@@ -1060,7 +1115,7 @@ func (s *StepVotingPhase) InS() bool { return s.inS }
 // arguments — it is consulted once per iteration at every node.
 type PayeeSelector func(nd *congest.Node, nbrWeight map[int]int64, inRNbr map[int]bool) []int
 
-// StepWeightedLocalRatio is the step form of Theorem 7's Phase I, the
+// StepWeightedLocalRatio is Theorem 7's Phase I, the
 // weighted local-ratio payment loop: after one round learning neighbor
 // weights, each of the fixed lockstep iterations exchanges live status,
 // breaks symmetry between candidates with a 2-hop maximum, and lets each

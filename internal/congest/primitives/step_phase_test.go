@@ -2,8 +2,6 @@ package primitives
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"powergraph/internal/congest"
@@ -18,62 +16,9 @@ type cliqueOut struct {
 	Collected string
 }
 
-// blockingCliqueChain chains the blocking counterparts of the clique-model
-// step primitives: a 2-hop max, a one-round clique leader election, a
-// status exchange, and Lemma 9's direct gather at the leader.
-func blockingCliqueChain(nd *congest.Node) (cliqueOut, error) {
-	out := cliqueOut{Hop2: TwoHopMax(nd, int64(nd.ID()*7%13))}
-
-	nd.Broadcast(congest.Flag{})
-	nd.NextRound()
-	leader := nd.ID()
-	for _, in := range nd.Recv() {
-		if in.From < leader {
-			leader = in.From
-		}
-	}
-	out.Leader = leader
-
-	status := nd.ID()%3 == 0
-	bit := int64(0)
-	if status {
-		bit = 1
-	}
-	nd.BroadcastNeighbors(congest.NewIntWidth(bit, 1))
-	nd.NextRound()
-	var on []int
-	for _, in := range nd.Recv() {
-		if in.Msg.(congest.Int).V == 1 {
-			on = append(on, in.From)
-		}
-	}
-	out.On = fmt.Sprint(on)
-
-	items := []congest.Message{congest.NewInt(int64(nd.ID()))}
-	if nd.ID()%2 == 0 {
-		items = append(items, congest.NewInt(int64(nd.ID()+100)))
-	}
-	const maxItems = 2
-	var gathered []congest.Message
-	for j := 0; j < maxItems; j++ {
-		if j < len(items) && nd.ID() != leader {
-			nd.MustSend(leader, items[j])
-		}
-		nd.NextRound()
-		if nd.ID() == leader {
-			for _, in := range nd.Recv() {
-				gathered = append(gathered, in.Msg)
-			}
-		}
-	}
-	if nd.ID() == leader {
-		gathered = append(gathered, items...)
-	}
-	out.Collected = fmt.Sprint(gathered)
-	return out, nil
-}
-
-// stepCliqueChain is the same chain assembled from the step-form twins.
+// stepCliqueChain chains the clique-model step primitives: a 2-hop max, a
+// one-round clique leader election, a status exchange, and Lemma 9's direct
+// gather at the leader.
 type stepCliqueChain struct {
 	stage  int
 	hop    *StepHopMax
@@ -126,53 +71,6 @@ func (p *stepCliqueChain) Step(nd *congest.Node) (bool, error) {
 
 func (p *stepCliqueChain) Output() cliqueOut { return p.out }
 
-// TestStepCliquePrimitivesMatchBlocking proves the clique-model step
-// primitives (StepTwoHopMax, StepCliqueLeader, StepStatusExchange,
-// StepDirectGather) message-for-message equivalent to their blocking
-// counterparts: identical outputs and simulator statistics on both engines.
-func TestStepCliquePrimitivesMatchBlocking(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	graphs := map[string]*graph.Graph{
-		"single": graph.NewBuilder(1).Build(),
-		"edge":   graph.Path(2),
-		"path8":  graph.Path(8),
-		"star10": graph.Star(10),
-		"gnp20":  graph.ConnectedGNP(20, 0.2, rng),
-	}
-	for name, g := range graphs {
-		var results []*congest.Result[cliqueOut]
-		for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-			cfg := congest.Config{Graph: g, Model: congest.CongestedClique, Seed: 6, Engine: mode}
-			blk, err := congest.Run(cfg, blockingCliqueChain)
-			if err != nil {
-				t.Fatalf("%s/%v blocking: %v", name, mode, err)
-			}
-			stp, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[cliqueOut] {
-				return &stepCliqueChain{}
-			})
-			if err != nil {
-				t.Fatalf("%s/%v step: %v", name, mode, err)
-			}
-			results = append(results, blk, stp)
-		}
-		for i := 1; i < len(results); i++ {
-			if !reflect.DeepEqual(results[0].Outputs, results[i].Outputs) {
-				t.Fatalf("%s: variant %d outputs differ:\n%v\n%v",
-					name, i, results[0].Outputs, results[i].Outputs)
-			}
-			if results[0].Stats != results[i].Stats {
-				t.Fatalf("%s: variant %d stats differ:\n%+v\n%+v",
-					name, i, results[0].Stats, results[i].Stats)
-			}
-		}
-		for v, out := range results[0].Outputs {
-			if out.Leader != 0 {
-				t.Fatalf("%s: node %d elected %d", name, v, out.Leader)
-			}
-		}
-	}
-}
-
 // TestStepEstimatorFloods exercises StepMinFlood, StepHopMax, and
 // StepRankFlood directly on a known topology: a path where exactly one node
 // holds a sample.
@@ -181,36 +79,34 @@ func TestStepEstimatorFloods(t *testing.T) {
 	prog := func(nd *congest.Node) congest.StepProgram[estimatorOut] {
 		return &estimatorProbe{}
 	}
-	for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-		res, err := congest.RunProgram(congest.Config{Graph: g, Seed: 1, Engine: mode}, prog)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+	res, err := congest.RunProgram(congest.Config{Graph: g, Seed: 1}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, o := range res.Outputs {
+		// Node 2 holds sample 42; after one flood its G-neighbors see it.
+		wantMin := int64(-1)
+		if v >= 1 && v <= 3 {
+			wantMin = 42
 		}
-		for v, o := range res.Outputs {
-			// Node 2 holds sample 42; after one flood its G-neighbors see it.
-			wantMin := int64(-1)
-			if v >= 1 && v <= 3 {
-				wantMin = 42
+		if o.Min != wantMin {
+			t.Errorf("node %d min = %d, want %d", v, o.Min, wantMin)
+		}
+		// 2 hops of max over values = id: nodes see max id within 2 hops.
+		wantHop := int64(min(v+2, 4))
+		if o.HopMax != wantHop {
+			t.Errorf("node %d hopMax = %d, want %d", v, o.HopMax, wantHop)
+		}
+		// Only node 3 holds rank 5; neighbors learn (5, 3).
+		if v >= 2 && v <= 4 {
+			if o.Rank != 5 || o.RankID != 3 {
+				t.Errorf("node %d rank = (%d,%d), want (5,3)", v, o.Rank, o.RankID)
 			}
-			if o.Min != wantMin {
-				t.Errorf("%v: node %d min = %d, want %d", mode, v, o.Min, wantMin)
+			if v != 3 && o.Senders != 1 {
+				t.Errorf("node %d saw %d rank senders, want 1", v, o.Senders)
 			}
-			// 2 hops of max over values = id: nodes see max id within 2 hops.
-			wantHop := int64(min(v+2, 4))
-			if o.HopMax != wantHop {
-				t.Errorf("%v: node %d hopMax = %d, want %d", mode, v, o.HopMax, wantHop)
-			}
-			// Only node 3 holds rank 5; neighbors learn (5, 3).
-			if v >= 2 && v <= 4 {
-				if o.Rank != 5 || o.RankID != 3 {
-					t.Errorf("%v: node %d rank = (%d,%d), want (5,3)", mode, v, o.Rank, o.RankID)
-				}
-				if v != 3 && o.Senders != 1 {
-					t.Errorf("%v: node %d saw %d rank senders, want 1", mode, v, o.Senders)
-				}
-			} else if o.RankID != -1 {
-				t.Errorf("%v: node %d rankID = %d, want -1", mode, v, o.RankID)
-			}
+		} else if o.RankID != -1 {
+			t.Errorf("node %d rankID = %d, want -1", v, o.RankID)
 		}
 	}
 }

@@ -196,7 +196,7 @@ func TestStepPrimitivesRestartMatchesFresh(t *testing.T) {
 	for _, n := range []int{9, 17, 26} {
 		for _, r := range []int{2, 3} {
 			g := graph.ConnectedGNP(n, 2.5/float64(n), rand.New(rand.NewSource(int64(100*n+r))))
-			cfg := congest.Config{Graph: g, Model: congest.CONGEST, Engine: congest.EngineBatch, BandwidthFactor: 8}
+			cfg := congest.Config{Graph: g, Model: congest.CONGEST, BandwidthFactor: 8}
 			var runs [2]*congest.Result[restartOut]
 			for i, fresh := range []bool{true, false} {
 				res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[restartOut] {

@@ -12,7 +12,7 @@ import (
 
 // Property tests for the depth-r collectives behind the Gʳ pipeline: on
 // random graphs, every primitive must agree with a direct BFS-computed
-// r-neighborhood reference, for r = 1…5, under both engines.
+// r-neighborhood reference, for r = 1…5, sequential and sharded.
 
 // rhopOut is one node's observable outcome of the chained depth-r stages.
 type rhopOut struct {
@@ -235,7 +235,7 @@ func rhopReference(g *graph.Graph, in rhopInputs, voteFor []int) []rhopOut {
 
 // TestRHopPrimitivesMatchBFSReference is the satellite property test: on
 // random connected graphs, the depth-r collectives agree with the BFS
-// reference for r = 1…5 under both engines. The candidate flood is asserted
+// reference for r = 1…5, sequential and sharded. The candidate flood is asserted
 // EXACT at every depth: the legacy broadcast schedule at r ≤ 2, the routed
 // relay schedule (NewStepCandidateMinFloodRoutes over the adoption routes
 // recorded from the chained rank floods) at r ≥ 3.
@@ -250,12 +250,11 @@ func TestRHopPrimitivesMatchBFSReference(t *testing.T) {
 			}
 			want := rhopReference(g, in, voteFor)
 
-			// Both engines plus a sharded batch sweep: the routed candidate
+			// The sequential and a sharded sweep: the routed candidate
 			// flood must be exact under the shard barrier too.
 			cfgs := []congest.Config{
-				{Graph: g, Model: congest.CONGEST, Engine: congest.EngineGoroutine, BandwidthFactor: 8},
-				{Graph: g, Model: congest.CONGEST, Engine: congest.EngineBatch, BandwidthFactor: 8},
-				{Graph: g, Model: congest.CONGEST, Engine: congest.EngineBatch, Shards: 3, BandwidthFactor: 8},
+				{Graph: g, Model: congest.CONGEST, BandwidthFactor: 8},
+				{Graph: g, Model: congest.CONGEST, Shards: 3, BandwidthFactor: 8},
 			}
 			engineOuts := make([][]rhopOut, len(cfgs))
 			for i, cfg := range cfgs {
@@ -263,11 +262,11 @@ func TestRHopPrimitivesMatchBFSReference(t *testing.T) {
 					return &rhopProgram{in: in, voteFor: voteFor[nd.ID()]}
 				})
 				if err != nil {
-					t.Fatalf("n=%d r=%d %v sh=%d: %v", n, r, cfg.Engine, cfg.Shards, err)
+					t.Fatalf("n=%d r=%d sh=%d: %v", n, r, cfg.Shards, err)
 				}
 				engineOuts[i] = res.Outputs
 				if i > 0 && !reflect.DeepEqual(engineOuts[0], engineOuts[i]) {
-					t.Fatalf("n=%d r=%d: engine config %d diverges from goroutine", n, r, i)
+					t.Fatalf("n=%d r=%d: shards=%d diverges from the sequential sweep", n, r, cfg.Shards)
 				}
 			}
 

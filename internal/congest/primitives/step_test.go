@@ -2,12 +2,8 @@ package primitives
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
-	"testing"
 
 	"powergraph/internal/congest"
-	"powergraph/internal/graph"
 )
 
 // pipelineOut is the observable outcome of the composed primitive chain.
@@ -18,34 +14,9 @@ type pipelineOut struct {
 	FloodView string // every node's view of the flooded items
 }
 
-// blockingPipeline chains every blocking primitive: elect a leader, build
+// stepPipeline chains the CONGEST step primitives: elect a leader, build
 // its BFS tree, gather one item per node at the root, flood a derived item
 // list back down.
-func blockingPipeline(nd *congest.Node) (pipelineOut, error) {
-	n := nd.N()
-	w := congest.IDBits(n)
-	leader := MinIDLeader(nd)
-	tree := BFSTree(nd, leader)
-	items := []congest.Message{congest.NewIntWidth(int64(nd.ID()), w)}
-	gathered := GatherAtRoot(nd, tree, items)
-	var down []congest.Message
-	if nd.ID() == leader {
-		sum := int64(0)
-		for _, m := range gathered {
-			sum += m.(congest.Int).V
-		}
-		down = []congest.Message{congest.NewInt(sum), congest.NewIntWidth(int64(len(gathered)), w)}
-	}
-	got := FloodItemsFromRoot(nd, tree, down)
-	return pipelineOut{
-		Leader:    leader,
-		Depth:     tree.Depth,
-		Gathered:  len(gathered),
-		FloodView: fmt.Sprint(got),
-	}, nil
-}
-
-// stepPipeline is the same chain assembled from the step-form twins.
 type stepPipeline struct {
 	stage  int
 	minID  *StepMinIDLeader
@@ -107,58 +78,3 @@ func (p *stepPipeline) Step(nd *congest.Node) (bool, error) {
 }
 
 func (p *stepPipeline) Output() pipelineOut { return p.out }
-
-// TestStepPrimitivesMatchBlocking proves the step-form primitives are
-// message-for-message equivalent to their blocking twins: the composed
-// chain produces identical outputs and identical simulator statistics on
-// both engines, across topologies that stress every primitive (deep trees,
-// stars, random graphs).
-func TestStepPrimitivesMatchBlocking(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	graphs := map[string]*graph.Graph{
-		"single": graph.NewBuilder(1).Build(),
-		"edge":   graph.Path(2),
-		"path13": graph.Path(13),
-		"star9":  graph.Star(9),
-		"grid45": graph.Grid(4, 5),
-		"gnp25":  graph.ConnectedGNP(25, 0.15, rng),
-		"tree30": graph.RandomTree(30, rng),
-	}
-	for name, g := range graphs {
-		var results []*congest.Result[pipelineOut]
-		for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-			cfg := congest.Config{Graph: g, Seed: 4, Engine: mode}
-			blk, err := congest.Run(cfg, blockingPipeline)
-			if err != nil {
-				t.Fatalf("%s/%v blocking: %v", name, mode, err)
-			}
-			stp, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[pipelineOut] {
-				return &stepPipeline{}
-			})
-			if err != nil {
-				t.Fatalf("%s/%v step: %v", name, mode, err)
-			}
-			results = append(results, blk, stp)
-		}
-		for i := 1; i < len(results); i++ {
-			if !reflect.DeepEqual(results[0].Outputs, results[i].Outputs) {
-				t.Fatalf("%s: variant %d outputs differ:\n%v\n%v",
-					name, i, results[0].Outputs, results[i].Outputs)
-			}
-			if results[0].Stats != results[i].Stats {
-				t.Fatalf("%s: variant %d stats differ:\n%+v\n%+v",
-					name, i, results[0].Stats, results[i].Stats)
-			}
-		}
-		// Sanity: the chain did real work — everyone agrees on leader 0,
-		// and the root gathered one item per node.
-		for v, out := range results[0].Outputs {
-			if out.Leader != 0 {
-				t.Fatalf("%s: node %d elected %d", name, v, out.Leader)
-			}
-			if v == 0 && out.Gathered != g.N() {
-				t.Fatalf("%s: root gathered %d items, want %d", name, out.Gathered, g.N())
-			}
-		}
-	}
-}

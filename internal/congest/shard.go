@@ -2,8 +2,8 @@ package congest
 
 import "sync"
 
-// The sharded batch sweep: Config.Shards > 1 splits the per-round node
-// sweep of the batch engine into contiguous node-id ranges advanced by a
+// The sharded sweep: Config.Shards > 1 splits the per-round node sweep into
+// contiguous node-id ranges advanced by a
 // persistent worker pool, while everything with cross-node visibility —
 // message delivery, statistics, span reference counting, tracer events,
 // error selection — stays on the coordinator goroutine at the round
@@ -17,7 +17,7 @@ import "sync"
 // ascending shard order — which, because shards are contiguous ascending id
 // ranges swept in ascending id order, replays exactly the sequential
 // sweep's global order. The merged state then drives the unchanged
-// deliverBatch/traceRound path, so results, Stats, spans, and trace streams
+// deliver/traceRound path, so results, Stats, spans, and trace streams
 // are byte-identical to Shards ≤ 1 at any shard count.
 //
 // Memory stays flat per round: the staging slices are truncated and reused
@@ -53,12 +53,12 @@ type shardState struct {
 	_ [64]byte // false-sharing pad
 }
 
-// runBatchSharded is runBatch's control flow with the node sweep fanned out
-// across a persistent worker pool. Round counting, the MaxRounds check, the
-// "deliver only if someone is still running" rule, and the order of error
-// checks are identical to the sequential driver.
-func (e *engine) runBatchSharded(steppers []stepper) error {
-	n := len(steppers)
+// runSharded is run's control flow with the node sweep fanned out across a
+// persistent worker pool. Round counting, the MaxRounds check, the "deliver
+// only if someone is still running" rule, and the order of error checks are
+// identical to the sequential loop.
+func (e *engine) runSharded(step func(nd *Node) bool) error {
+	n := len(e.nodes)
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
@@ -76,14 +76,13 @@ func (e *engine) runBatchSharded(steppers []stepper) error {
 		starts[k] = make(chan struct{}, 1)
 		go func(start <-chan struct{}, sh *shardState) {
 			// One worker per shard for the whole run, so every node is
-			// always stepped by the same goroutine (coroutine-adapted
-			// handlers rely on their resumes being serialized).
+			// always stepped by the same goroutine.
 			for range start {
 				for i := sh.lo; i < sh.hi; i++ {
 					if !alive[i] {
 						continue
 					}
-					if steppers[i].step() == stepDone {
+					if step(e.nodes[i]) {
 						alive[i] = false
 						sh.live--
 					}
@@ -144,7 +143,7 @@ func (e *engine) runBatchSharded(steppers []stepper) error {
 			return nil
 		}
 		e.stats.Rounds++
-		e.deliverBatch()
+		e.deliver()
 		e.traceRound(round, live)
 	}
 }

@@ -54,7 +54,7 @@ func (p *probeProg) Output() int64 { return p.sum }
 func probeConfig(g *graph.Graph, shards int, tr obs.Tracer) Config {
 	// BandwidthFactor 16 keeps the probe's 11-bit payloads legal even on
 	// the tiny graphs (n = 3 has a default budget of just 8 bits).
-	return Config{Graph: g, Engine: EngineBatch, Shards: shards, Seed: 42, Tracer: tr, BandwidthFactor: 16}
+	return Config{Graph: g, Shards: shards, Seed: 42, Tracer: tr, BandwidthFactor: 16}
 }
 
 func runProbe(t *testing.T, g *graph.Graph, shards int) (*Result[int64], *obs.Collector) {
@@ -116,38 +116,6 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedBlockingHandlerMatchesSequential covers the coroutine adapter
-// under sharding: each node's coroutine is created and resumed by its
-// shard's fixed worker goroutine, which keeps iter.Pull's serialization
-// contract; results must match the sequential adapter run exactly.
-func TestShardedBlockingHandlerMatchesSequential(t *testing.T) {
-	g := graph.ConnectedGNP(30, 0.2, rand.New(rand.NewSource(3)))
-	handler := func(nd *Node) (int64, error) {
-		var sum int64
-		for r := 0; r < 5; r++ {
-			nd.BroadcastNeighbors(NewIntWidth(nd.Rand().Int63n(1<<10), 11))
-			nd.NextRound()
-			for _, in := range nd.Recv() {
-				sum += in.Msg.(Int).V
-			}
-		}
-		return sum, nil
-	}
-	want, err := Run(probeConfig(g, 0, nil), handler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range []int{2, 7, runtime.GOMAXPROCS(0)} {
-		got, err := Run(probeConfig(g, sc, nil), handler)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", sc, err)
-		}
-		if !reflect.DeepEqual(want.Outputs, got.Outputs) || want.Stats != got.Stats {
-			t.Fatalf("shards=%d: adapter run diverges from sequential", sc)
-		}
-	}
-}
-
 // TestShardedErrorDeterminism: when several nodes fail in one round, the
 // sharded barrier must surface exactly the error the sequential sweep
 // surfaces — the lowest-id failure — regardless of which worker saw its
@@ -155,13 +123,11 @@ func TestShardedBlockingHandlerMatchesSequential(t *testing.T) {
 func TestShardedErrorDeterminism(t *testing.T) {
 	g := graph.Cycle(40)
 	run := func(shards int) error {
-		_, err := RunProgram(probeConfig(g, shards, nil), func(nd *Node) StepProgram[int] {
-			return stepFunc[int](func(nd *Node) (bool, error) {
-				if nd.Round() == 2 && nd.ID()%5 == 3 {
-					return false, fmt.Errorf("probe failure")
-				}
-				return false, nil
-			})
+		_, err := runScript(probeConfig(g, shards, nil), func(nd *Node) (int, bool, error) {
+			if nd.Round() == 2 && nd.ID()%5 == 3 {
+				return 0, false, fmt.Errorf("probe failure")
+			}
+			return 0, false, nil
 		})
 		return err
 	}
@@ -184,9 +150,7 @@ func TestShardedMaxRounds(t *testing.T) {
 	for _, sc := range []int{0, 3, 12} {
 		cfg := probeConfig(g, sc, nil)
 		cfg.MaxRounds = 25
-		_, err := RunProgram(cfg, func(nd *Node) StepProgram[int] {
-			return stepFunc[int](func(nd *Node) (bool, error) { return false, nil })
-		})
+		_, err := runScript(cfg, func(nd *Node) (int, bool, error) { return 0, false, nil })
 		if !errors.Is(err, ErrMaxRounds) {
 			t.Fatalf("shards=%d: err = %v, want ErrMaxRounds", sc, err)
 		}
@@ -224,7 +188,7 @@ func TestShardedStress(t *testing.T) {
 	}
 }
 
-// TestShardedMillionNodes is the scale smoke: the sharded batch engine
+// TestShardedMillionNodes is the scale smoke: the sharded engine
 // drives a million-node ring through the probe program with a fixed worker
 // pool — goroutine count stays O(shards), never O(n) — and still matches
 // the sequential sweep exactly.
@@ -275,10 +239,8 @@ func TestShardedMillionNodes(t *testing.T) {
 
 // TestNegativeShardsRejected pins the validation error.
 func TestNegativeShardsRejected(t *testing.T) {
-	_, err := RunProgram(Config{Graph: graph.Path(3), Engine: EngineBatch, Shards: -2},
-		func(nd *Node) StepProgram[int] {
-			return stepFunc[int](func(nd *Node) (bool, error) { return true, nil })
-		})
+	_, err := runScript(Config{Graph: graph.Path(3), Shards: -2},
+		func(nd *Node) (int, bool, error) { return 0, true, nil })
 	if err == nil {
 		t.Fatal("negative shard count accepted")
 	}

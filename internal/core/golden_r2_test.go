@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	"powergraph/internal/congest"
 	"powergraph/internal/exact"
 	"powergraph/internal/graph"
 )
@@ -19,8 +18,7 @@ import (
 // every distributed algorithm: solutions, phase statistics, and the full
 // simulator accounting. The Gʳ generalization must leave the r = 2 path
 // bit-identical — same messages, same rounds, same solutions — so this test
-// is the refactoring guard the equivalence tests cannot provide (they compare
-// step form against blocking form, not new code against old).
+// is the refactoring guard that compares new code against old.
 //
 // Since the kernelize-then-solve subsystem became the default leader solver,
 // the matrix runs under that default (i.e. it covers the "kernel-exact"
@@ -73,9 +71,8 @@ func goldenGraphs() map[string]*graph.Graph {
 	}
 }
 
-// goldenAlgorithms maps registry-style names to direct invocations. Each is
-// run with a fixed seed under both engines; the record stores the (identical)
-// measurements once.
+// goldenAlgorithms maps registry-style names to direct invocations, each run
+// with a fixed seed.
 var goldenAlgorithms = map[string]func(g *graph.Graph, opts *Options) (*Result, error){
 	"mvc-congest": func(g *graph.Graph, opts *Options) (*Result, error) {
 		return ApproxMVCCongest(g, 0.5, opts)
@@ -118,8 +115,8 @@ func goldenRecordOf(res *Result) goldenRecord {
 	}
 }
 
-// TestGoldenR2Regression runs the whole seed matrix under both engines and
-// compares every record against testdata/golden_r2.json.
+// TestGoldenR2Regression runs the whole seed matrix and compares every
+// record against testdata/golden_r2.json.
 func TestGoldenR2Regression(t *testing.T) {
 	got := runGoldenMatrix(t, 0, func(aName, gName string) string {
 		return fmt.Sprintf("%s|%s|seed7", aName, gName)
@@ -145,8 +142,8 @@ func TestGoldenR34Regression(t *testing.T) {
 }
 
 // runGoldenMatrix runs every golden algorithm on every golden graph at power
-// r (0 = the default r = 2) under both engines, plus a replay with the
-// legacy raw exact solver pinned, and returns the records keyed by key.
+// r (0 = the default r = 2), plus a replay with the legacy raw exact solver
+// pinned, and returns the records keyed by key.
 func runGoldenMatrix(t *testing.T, r int, key func(aName, gName string) string) map[string]goldenRecord {
 	t.Helper()
 	graphs := goldenGraphs()
@@ -154,29 +151,23 @@ func runGoldenMatrix(t *testing.T, r int, key func(aName, gName string) string) 
 	for gName, g := range graphs {
 		for aName, run := range goldenAlgorithms {
 			key := key(aName, gName)
-			var records [2]goldenRecord
-			for i, engine := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-				res, err := run(g, &Options{Seed: 7, Engine: engine, Power: r})
-				if err != nil {
-					t.Fatalf("%s (%s): %v", key, engine, err)
-				}
-				records[i] = goldenRecordOf(res)
+			res, err := run(g, &Options{Seed: 7, Power: r})
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
-			if !reflect.DeepEqual(records[0], records[1]) {
-				t.Fatalf("%s: engines diverge:\ngoroutine: %+v\nbatch:     %+v", key, records[0], records[1])
-			}
+			rec := goldenRecordOf(res)
 			// The default (kernel-exact) and the pinned legacy raw exact
 			// solver must be byte-identical on the golden matrix: the
 			// ladder's direct path guarantees it below DefaultDirectN.
-			legacy, err := run(g, &Options{Seed: 7, Engine: congest.EngineBatch, Power: r, LocalSolver: exact.VertexCover})
+			legacy, err := run(g, &Options{Seed: 7, Power: r, LocalSolver: exact.VertexCover})
 			if err != nil {
 				t.Fatalf("%s (legacy solver): %v", key, err)
 			}
-			if lr := goldenRecordOf(legacy); !reflect.DeepEqual(records[0], lr) {
+			if lr := goldenRecordOf(legacy); !reflect.DeepEqual(rec, lr) {
 				t.Fatalf("%s: kernel-exact default diverges from the legacy exact solver:\nkernel: %+v\nlegacy: %+v",
-					key, records[0], lr)
+					key, rec, lr)
 			}
-			got[key] = records[0]
+			got[key] = rec
 		}
 	}
 	return got

@@ -53,10 +53,9 @@ type MDSOptions struct {
 //
 // The algorithm is a congest.StepProgram over the greedy-cover step
 // primitives (StepMinFlood, StepHopMax, StepRankFlood,
-// StepCandidateMinFlood), so the batch engine drives it with no per-node
-// goroutine; the blocking reference is preserved in
-// mds_congest_equiv_test.go and TestStepMDSMatchesBlockingReference proves
-// the two indistinguishable.
+// StepCandidateMinFlood), so the engine drives it with no per-node
+// goroutine; TestStepMDSMatchesBlockingReference holds it to the recorded
+// outputs of the blocking implementation it replaced.
 func ApproxMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 	if opts == nil {
 		opts = &MDSOptions{}
@@ -70,7 +69,6 @@ func ApproxMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 		Graph:           g,
 		Ctx:             opts.Options.ctx(),
 		Model:           congest.CONGEST,
-		Engine:          opts.engine(),
 		Shards:          opts.shards(),
 		BandwidthFactor: bwf,
 		MaxRounds:       opts.Options.MaxRounds,
@@ -183,8 +181,7 @@ const (
 // mdsCongestProgram is Theorem 28 in step form: each phase chains the
 // greedy-cover primitives — coverage estimation, candidate selection by
 // 4-hop maximum, rank voting, vote estimation, and the coverage flood —
-// with every stage starting in the slice its predecessor finishes, exactly
-// like the blocking composition.
+// with every stage starting in the slice its predecessor finishes.
 //
 // The primitives are embedded by value and restarted in place, and every
 // per-phase buffer (minima, candidate neighbors, adoption routes) is

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"powergraph/internal/congest"
 	"powergraph/internal/exact"
 	"powergraph/internal/graph"
 	"powergraph/internal/verify"
@@ -162,7 +161,7 @@ func TestMDSCongestAllocsBounded(t *testing.T) {
 	const n = 300
 	g := graph.ConnectedGNP(n, 8.0/n, rand.New(rand.NewSource(1)))
 	for _, r := range []int{2, 3} {
-		opts := &MDSOptions{Options: Options{Seed: 1, Engine: congest.EngineBatch, Power: r}}
+		opts := &MDSOptions{Options: Options{Seed: 1, Power: r}}
 		res, err := ApproxMDSCongest(g, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -14,10 +14,9 @@ import (
 // the leader in parallel (Lemma 9) and the leader answers in one round.
 //
 // The algorithm is a congest.StepProgram (clique-model broadcast primitives
-// StepCliqueLeader and StepDirectGather serve Phase II); the blocking
-// reference is preserved in mvc_clique_equiv_test.go and
-// TestStepCliqueDetMatchesBlockingReference proves the two
-// indistinguishable.
+// StepCliqueLeader and StepDirectGather serve Phase II);
+// TestStepCliqueDetMatchesBlockingReference holds it to the recorded
+// outputs of the blocking implementation it replaced.
 func ApproxMVCCliqueDeterministic(g *graph.Graph, eps float64, opts *Options) (*Result, error) {
 	l, err := epsilonToL(eps)
 	if err != nil {
@@ -45,7 +44,6 @@ func ApproxMVCCliqueDeterministic(g *graph.Graph, eps float64, opts *Options) (*
 		Graph:           g,
 		Ctx:             opts.ctx(),
 		Model:           congest.CongestedClique,
-		Engine:          opts.engine(),
 		Shards:          opts.shards(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),

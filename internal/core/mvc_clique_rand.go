@@ -23,10 +23,9 @@ import (
 // direct O(1/ε)-round gather.
 //
 // The algorithm is a congest.StepProgram (StepVotingPhase in clique mode
-// for Phase I, the clique-model broadcast primitives for Phase II); the
-// blocking reference is preserved in mvc_clique_rand_equiv_test.go and
-// TestStepCliqueRandMatchesBlockingReference proves the two
-// indistinguishable.
+// for Phase I, the clique-model broadcast primitives for Phase II);
+// TestStepCliqueRandMatchesBlockingReference holds it to the recorded
+// outputs of the blocking implementation it replaced.
 func ApproxMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*Result, error) {
 	if _, err := epsilonToL(eps); err != nil {
 		return nil, err
@@ -57,7 +56,6 @@ func ApproxMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*Res
 		Graph:           g,
 		Ctx:             opts.ctx(),
 		Model:           congest.CongestedClique,
-		Engine:          opts.engine(),
 		Shards:          opts.shards(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),

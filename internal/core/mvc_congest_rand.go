@@ -27,9 +27,9 @@ import (
 // globally maximal candidate.
 //
 // The algorithm is a congest.StepProgram (StepVotingPhase for Phase I,
-// StepLeaderPipeline for Phase II); the blocking reference is preserved in
-// mvc_congest_rand_equiv_test.go and TestStepMVCRandMatchesBlockingReference
-// proves the two indistinguishable.
+// StepLeaderPipeline for Phase II); TestStepMVCRandMatchesBlockingReference
+// holds it to the recorded outputs of the blocking implementation it
+// replaced.
 func ApproxMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*Result, error) {
 	if _, err := epsilonToL(eps); err != nil {
 		return nil, err
@@ -61,7 +61,6 @@ func ApproxMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*Re
 		Graph:           g,
 		Ctx:             opts.ctx(),
 		Model:           congest.CONGEST,
-		Engine:          opts.engine(),
 		Shards:          opts.shards(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),

@@ -94,9 +94,9 @@ func (pg *powerGather) Step(nd *congest.Node) bool {
 	var done bool
 	if pg.sp != nil {
 		done = pg.sp.Step(nd)
-		// The sparsified stage spends SparsifyRounds(r)+1 ≥ 2 handler
-		// activations at every r, so begin and end always land in distinct
-		// activations and the span covers exactly SparsifyRounds(r) rounds.
+		// The sparsified stage spends SparsifyRounds(r)+1 ≥ 2 steps at
+		// every r, so begin and end always land in distinct rounds and the
+		// span covers exactly SparsifyRounds(r) rounds.
 		if first {
 			nd.SpanBegin("phase2-sparsify", 0)
 		}
@@ -106,11 +106,10 @@ func (pg *powerGather) Step(nd *congest.Node) bool {
 		return done
 	}
 	done = pg.flood.Step(nd)
-	// The span is emitted only when the stage actually spends rounds. A
-	// zero-hop flood (r ≤ 2) would begin and end within one handler
-	// activation — on the goroutine engine concurrent nodes' marks for the
-	// same key would then interleave nondeterministically through the
-	// engine's refcount, so the degenerate case emits nothing at all.
+	// The span is emitted only when the stage actually spends rounds: a
+	// zero-hop flood (r ≤ 2) would begin and end within one step, a
+	// zero-length span that says nothing, so the degenerate case emits
+	// nothing at all.
 	if first && !done {
 		nd.SpanBegin("phase2-near", 0)
 	}

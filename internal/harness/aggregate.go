@@ -24,19 +24,14 @@ type CellSummary struct {
 	Model     string        `json:"model"`
 	Problem   string        `json:"problem"`
 	Epsilon   float64       `json:"epsilon,omitempty"`
-	// Engine is the simulator execution engine the cell ran under (empty
-	// for the default engine and for centralized baselines). A two-engine
-	// sweep produces one cell per engine with identical measurement
-	// distributions; only WallMS may differ.
-	Engine string `json:"engine,omitempty"`
 	// Gather is the generalized Phase-II gather mode the cell ran under
 	// (empty = the sparsified default). A two-mode sweep produces one cell
 	// per mode with identical solutions but different rounds/messages/bits —
 	// the sparsifier's measured win.
 	Gather string `json:"gather,omitempty"`
-	// Shards is the batch engine's shard count for this cell (0 = the
-	// sequential sweep). Like Engine it splits cells without touching
-	// measurements; a ShardCounts sweep compares the cells' WallMS.
+	// Shards is the simulator's shard count for this cell (0 = the
+	// sequential sweep). It splits cells without touching measurements; a
+	// ShardCounts sweep compares the cells' WallMS.
 	Shards int `json:"shards,omitempty"`
 
 	// Trials counts results in the cell; Errors the failed subset.
@@ -72,7 +67,7 @@ type CellSummary struct {
 	// WallMS is the per-job wall-clock distribution in milliseconds. Like
 	// the summary's ElapsedMS it is machine-dependent, which is why it
 	// appears only in BENCH summaries and never in the deterministic
-	// JSONL/CSV streams; it is what the engine-mode cells of a scale sweep
+	// JSONL/CSV streams; it is what the shard-count cells of a scale sweep
 	// are compared on.
 	WallMS Dist `json:"wallMS"`
 }
@@ -96,7 +91,7 @@ func Aggregate(results []JobResult) []CellSummary {
 			a = &acc{summary: CellSummary{
 				Generator: r.Generator, N: r.N, Power: r.Power,
 				Algorithm: r.Algorithm, Model: r.Model, Problem: r.Problem,
-				Epsilon: r.Epsilon, Engine: r.Engine, Gather: r.Gather, Shards: r.Shards,
+				Epsilon: r.Epsilon, Gather: r.Gather, Shards: r.Shards,
 			}}
 			cells[key] = a
 			order = append(order, key)

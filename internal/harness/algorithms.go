@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"powergraph/internal/congest"
-
 	"powergraph/internal/bitset"
 	"powergraph/internal/centralized"
 	"powergraph/internal/core"
@@ -52,13 +50,8 @@ type Algorithm struct {
 	// Exact marks entries whose own output is the optimum; the harness
 	// oracle reuses their cost instead of solving the instance twice.
 	Exact bool
-	// NativeStep marks distributed algorithms implemented as native
-	// congest.StepPrograms: the batch engine drives them with plain
-	// per-round function calls, no goroutine or coroutine adapter anywhere
-	// (TestRegistryRunsNativelyOnBatchEngine enforces the claim).
-	NativeStep bool
 	// Spans declares the phase-span names this algorithm may emit when
-	// traced — the superset over every supported power and engine; any one
+	// traced — the superset over every supported power; any one
 	// run closes a subset (r = 1 skips Phase I entirely, for instance). Nil
 	// for centralized baselines, which never touch the simulator.
 	// TestRegistryTraceConformance pins emitted ⊆ declared.
@@ -114,10 +107,6 @@ const (
 )
 
 func distOpts(ctx context.Context, job Job, tr obs.Tracer) (*core.Options, error) {
-	engine, err := congest.ParseEngineMode(job.Engine)
-	if err != nil {
-		return nil, err
-	}
 	solver, err := parseLocalSolver(job.LocalSolver)
 	if err != nil {
 		return nil, err
@@ -129,7 +118,6 @@ func distOpts(ctx context.Context, job Job, tr obs.Tracer) (*core.Options, error
 	return &core.Options{
 		Ctx:             ctx,
 		Seed:            job.Seed,
-		Engine:          engine,
 		Shards:          job.Shards,
 		BandwidthFactor: job.BandwidthFactor,
 		MaxRounds:       job.MaxRounds,
@@ -234,6 +222,17 @@ func GatherNames() []string {
 	return names
 }
 
+// CheckEngine validates the engine name a spec (engineModes), a Job, or a
+// serve solve request may still carry. The simulator has one engine, so ""
+// and "batch" (its name) are accepted and change nothing; every other value
+// is rejected. It is the only reader of those fields.
+func CheckEngine(name string) error {
+	if name == "" || name == "batch" {
+		return nil
+	}
+	return fmt.Errorf("harness: engine %q: the goroutine engine was removed; omit the engine or use \"batch\", the only engine", name)
+}
+
 // parseGather maps a job/spec gather-mode name to a core.GatherMode; the
 // empty name is the sparsified default. r = 2 ignores the knob entirely (the
 // paper's F-edge wire format is the only r = 2 path).
@@ -265,9 +264,9 @@ func centralizedResult(sol *bitset.Set) *core.Result {
 
 var algorithms = map[string]*Algorithm{
 	"mvc-congest": {
-		Name: "mvc-congest", Model: ModelCongest, Problem: ProblemMVC, NeedsEps: true, NativeStep: true,
+		Name: "mvc-congest", Model: ModelCongest, Problem: ProblemMVC, NeedsEps: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    pipelineSpans, Estimator: leaderEstimator,
+		Spans: pipelineSpans, Estimator: leaderEstimator,
 		Description: "Algorithm 1 (Thm 1): deterministic (1+eps)-approx Gʳ-MVC (O(n/eps) CONGEST rounds at r=2)",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -278,9 +277,9 @@ var algorithms = map[string]*Algorithm{
 		},
 	},
 	"mvc-congest-rand": {
-		Name: "mvc-congest-rand", Model: ModelCongest, Problem: ProblemMVC, NeedsEps: true, NativeStep: true,
+		Name: "mvc-congest-rand", Model: ModelCongest, Problem: ProblemMVC, NeedsEps: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    pipelineSpans, Estimator: leaderEstimator,
+		Spans: pipelineSpans, Estimator: leaderEstimator,
 		Description: "Section 3.3: randomized voting Phase I in plain CONGEST (O(log n) heavy-neighborhood drain), Gʳ Phase II",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -291,9 +290,9 @@ var algorithms = map[string]*Algorithm{
 		},
 	},
 	"mwvc-congest": {
-		Name: "mwvc-congest", Model: ModelCongest, Problem: ProblemMVC, NeedsEps: true, NativeStep: true,
+		Name: "mwvc-congest", Model: ModelCongest, Problem: ProblemMVC, NeedsEps: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    pipelineSpans, Estimator: leaderEstimator,
+		Spans: pipelineSpans, Estimator: leaderEstimator,
 		Description: "Theorem 7: deterministic (1+eps)-approx weighted Gʳ-MVC via ripe weight classes",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -304,9 +303,9 @@ var algorithms = map[string]*Algorithm{
 		},
 	},
 	"mvc-congest-53": {
-		Name: "mvc-congest-53", Model: ModelCongest, Problem: ProblemMVC, NativeStep: true,
+		Name: "mvc-congest-53", Model: ModelCongest, Problem: ProblemMVC,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    pipelineSpans, Estimator: leaderEstimator,
+		Spans: pipelineSpans, Estimator: leaderEstimator,
 		Description: "Corollary 17: 5/3-approx G²-MVC with polynomial local work (heuristic local solver at other r)",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			o, err := distOpts(ctx, job, tr)
@@ -320,9 +319,9 @@ var algorithms = map[string]*Algorithm{
 		},
 	},
 	"mvc-clique-det": {
-		Name: "mvc-clique-det", Model: ModelClique, Problem: ProblemMVC, NeedsEps: true, NativeStep: true,
+		Name: "mvc-clique-det", Model: ModelClique, Problem: ProblemMVC, NeedsEps: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    cliqueSpans, Estimator: leaderEstimator,
+		Spans: cliqueSpans, Estimator: leaderEstimator,
 		Description: "Corollary 10: deterministic (1+eps)-approx Gʳ-MVC (O(eps·n + 1/eps) CONGESTED CLIQUE rounds at r=2)",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -333,9 +332,9 @@ var algorithms = map[string]*Algorithm{
 		},
 	},
 	"mvc-clique-rand": {
-		Name: "mvc-clique-rand", Model: ModelClique, Problem: ProblemMVC, NeedsEps: true, NativeStep: true,
+		Name: "mvc-clique-rand", Model: ModelClique, Problem: ProblemMVC, NeedsEps: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    cliqueSpans, Estimator: leaderEstimator,
+		Spans: cliqueSpans, Estimator: leaderEstimator,
 		Description: "Theorem 11: randomized (1+eps)-approx Gʳ-MVC (O(log n + 1/eps) CONGESTED CLIQUE rounds at r=2)",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -346,9 +345,9 @@ var algorithms = map[string]*Algorithm{
 		},
 	},
 	"mds-congest": {
-		Name: "mds-congest", Model: ModelCongest, Problem: ProblemMDS, NativeStep: true,
+		Name: "mds-congest", Model: ModelCongest, Problem: ProblemMDS,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    mdsSpans, Estimator: mdsEstimator,
+		Spans: mdsSpans, Estimator: mdsEstimator,
 		Description: "Theorem 28: randomized O(log Δʳ)-approx Gʳ-MDS in polylog(n) CONGEST rounds (sketch estimator)",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -407,7 +406,6 @@ var algorithms = map[string]*Algorithm{
 type Info struct {
 	Name, Model, Problem, Description string
 	NeedsEps, AnyPower, Exact         bool
-	NativeStep                        bool
 	// Powers is the supported power range as a label ("any", "1-4", "2");
 	// SupportsPower answers the per-r question from the copied bounds.
 	Powers             string
@@ -433,7 +431,7 @@ func AlgorithmInfos() []Info {
 		a := algorithms[name]
 		out = append(out, Info{
 			Name: a.Name, Model: a.Model, Problem: a.Problem, Description: a.Description,
-			NeedsEps: a.NeedsEps, AnyPower: a.AnyPower, Exact: a.Exact, NativeStep: a.NativeStep,
+			NeedsEps: a.NeedsEps, AnyPower: a.AnyPower, Exact: a.Exact,
 			Powers: a.PowersLabel(), MinPower: a.MinPower, MaxPower: a.MaxPower,
 			Spans: append([]string(nil), a.Spans...), Estimator: a.Estimator,
 		})

@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// differentialJob builds one job for the given algorithm and engine with a
-// fixed seed pair, the way Expand would.
-func differentialJob(alg string, engine string, n int, eps float64) Job {
+// differentialJob builds one job for the given algorithm with a fixed seed
+// pair, the way Expand would.
+func differentialJob(alg string, n int, eps float64) Job {
 	gen := GeneratorSpec{Name: "connected-gnp"}
 	j := Job{
 		Generator: gen, N: n, Power: 2, Algorithm: alg,
-		Epsilon: eps, Engine: engine, Trial: 0, OracleN: 26,
+		Epsilon: eps, Trial: 0, OracleN: 26,
 	}
 	j.Seed = deriveSeed(1, j.cellKey(), 0)
 	j.InstanceSeed = deriveSeed(1, j.instanceKey(), 0)
@@ -21,13 +21,26 @@ func differentialJob(alg string, engine string, n int, eps float64) Job {
 }
 
 // TestShardedEngineDeterministic runs every registered distributed
-// algorithm on the batch engine across its full supported power range at
-// several shard counts — sequential, 2, a count that does not divide n,
-// and GOMAXPROCS — and requires byte-identical JobResults: solutions,
-// Stats, and span summaries all serialize to the same JSON at every shard
-// count. The shard barrier must be invisible in everything but wall clock.
+// algorithm across its full supported power range at n = 26 under several
+// shard counts — sequential, 2, a count that does not divide n, and
+// GOMAXPROCS — and requires byte-identical JobResults: solutions, Stats,
+// and span summaries all serialize to the same JSON at every shard count.
+// The shard barrier must be invisible in everything but wall clock.
 func TestShardedEngineDeterministic(t *testing.T) {
-	shardCounts := []int{1, 2, 7, runtime.GOMAXPROCS(0)}
+	checkShardDifferential(t, 26, []int{1, 2, 7, runtime.GOMAXPROCS(0)})
+}
+
+// TestEngineDifferentialAllAlgorithms is the same gate on the small cells
+// (n = 9, where most shards hold one or two nodes) at shard counts 1 and 3.
+func TestEngineDifferentialAllAlgorithms(t *testing.T) {
+	checkShardDifferential(t, 9, []int{1, 3})
+}
+
+// checkShardDifferential runs every distributed registry algorithm at every
+// supported power on an n-vertex instance under each shard count and
+// requires byte-identical JobResults — the acceptance gate for the sharded
+// sweep on the paper's algorithms, not just on microbenchmarks.
+func checkShardDifferential(t *testing.T, n int, shardCounts []int) {
 	for _, alg := range AlgorithmNames() {
 		entry, _ := lookupAlgorithm(alg)
 		if entry.Model == ModelCentralized {
@@ -41,14 +54,14 @@ func TestShardedEngineDeterministic(t *testing.T) {
 				var want *JobResult
 				var wantJSON []byte
 				for _, sc := range shardCounts {
-					job := differentialJob(alg, "batch", 26, 0.5)
+					job := differentialJob(alg, n, 0.5)
 					job.Power = r
 					job.Seed = deriveSeed(1, job.cellKey(), 0)
 					job.InstanceSeed = deriveSeed(1, job.instanceKey(), 0)
 					job.Shards = sc
 					got := executeJob(job, nil)
 					if got.Error != "" {
-						t.Fatalf("r=%d shards=%d: %s", r, sc, got.Error)
+						t.Fatalf("n=%d r=%d shards=%d: %s", n, r, sc, got.Error)
 					}
 					got.Elapsed, got.Metrics, got.Shards = 0, nil, 0
 					gotJSON, err := json.Marshal(got)
@@ -58,16 +71,16 @@ func TestShardedEngineDeterministic(t *testing.T) {
 					if want == nil {
 						want, wantJSON = got, gotJSON
 						if !got.Verified {
-							t.Fatalf("r=%d: solution failed feasibility", r)
+							t.Fatalf("n=%d r=%d: solution failed feasibility", n, r)
 						}
 						continue
 					}
 					if *want != *got {
-						t.Fatalf("r=%d: shards=%d diverges from shards=%d:\n%+v\n%+v",
-							r, sc, shardCounts[0], *want, *got)
+						t.Fatalf("n=%d r=%d: shards=%d diverges from shards=%d:\n%+v\n%+v",
+							n, r, sc, shardCounts[0], *want, *got)
 					}
 					if string(wantJSON) != string(gotJSON) {
-						t.Fatalf("r=%d: serialized results diverge at shards=%d", r, sc)
+						t.Fatalf("n=%d r=%d: serialized results diverge at shards=%d", n, r, sc)
 					}
 				}
 			}
@@ -75,45 +88,10 @@ func TestShardedEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialAllAlgorithms runs every registered distributed
-// algorithm under both execution engines on identical seeds and requires
-// identical measurements: solutions (cost and size), round counts, and all
-// message statistics. This is the acceptance gate for the batch engine —
-// the engines must be observationally indistinguishable on the paper's
-// algorithms, not just on microbenchmarks.
-func TestEngineDifferentialAllAlgorithms(t *testing.T) {
-	for _, alg := range AlgorithmNames() {
-		entry, _ := lookupAlgorithm(alg)
-		if entry.Model == ModelCentralized {
-			continue
-		}
-		t.Run(alg, func(t *testing.T) {
-			for _, n := range []int{9, 26} {
-				gor := executeJob(differentialJob(alg, "goroutine", n, 0.5), nil)
-				bat := executeJob(differentialJob(alg, "batch", n, 0.5), nil)
-				if gor.Error != "" || bat.Error != "" {
-					t.Fatalf("n=%d: errors: goroutine=%q batch=%q", n, gor.Error, bat.Error)
-				}
-				// Neutralize the fields that legitimately differ, then
-				// require everything else to match exactly.
-				gor.Engine, bat.Engine = "", ""
-				gor.Elapsed, bat.Elapsed = 0, 0
-				gor.Metrics, bat.Metrics = nil, nil
-				if *gor != *bat {
-					t.Fatalf("n=%d: engines diverge:\ngoroutine: %+v\nbatch:     %+v", n, *gor, *bat)
-				}
-				if !gor.Verified {
-					t.Fatalf("n=%d: solution failed feasibility", n)
-				}
-			}
-		})
-	}
-}
-
-// TestEngineAxisSweepIsDifferential runs a two-engine sweep through the
-// full Run path and checks that each (cell, trial) pair produced identical
-// measurements under both engines — the spec-level form of the
-// differential guarantee.
+// TestEngineAxisSweepIsDifferential runs a sweep over the engine's
+// execution axis — shard counts 1 and 3 — through the full Run path and
+// checks that each (cell, trial) pair produced identical measurements at
+// both counts: the spec-level form of the differential guarantee.
 func TestEngineAxisSweepIsDifferential(t *testing.T) {
 	spec := &Spec{
 		Name:     "diff",
@@ -124,7 +102,7 @@ func TestEngineAxisSweepIsDifferential(t *testing.T) {
 		},
 		Sizes:       []int{14},
 		Algorithms:  []string{"mvc-congest", "mds-congest", "exact"},
-		EngineModes: []string{"goroutine", "batch"},
+		ShardCounts: []int{1, 3},
 		OracleN:     14,
 	}
 	rep, err := Run(context.Background(), spec, RunOptions{})
@@ -142,8 +120,8 @@ func TestEngineAxisSweepIsDifferential(t *testing.T) {
 	distributed := 0
 	for _, r := range rep.Results {
 		if r.Model == ModelCentralized {
-			if r.Engine != "" {
-				t.Fatalf("centralized job carries engine %q", r.Engine)
+			if r.Shards != 1 {
+				t.Fatalf("centralized job carries shard count %d", r.Shards)
 			}
 			continue
 		}
@@ -154,15 +132,15 @@ func TestEngineAxisSweepIsDifferential(t *testing.T) {
 			seen[k] = r
 			continue
 		}
-		if prev.Engine == r.Engine {
-			t.Fatalf("duplicate engine %q for %v", r.Engine, k)
+		if prev.Shards == r.Shards {
+			t.Fatalf("duplicate shard count %d for %v", r.Shards, k)
 		}
-		prev.Engine, r.Engine = "", ""
+		prev.Shards, r.Shards = 0, 0
 		prev.Elapsed, r.Elapsed = 0, 0
 		prev.Metrics, r.Metrics = nil, nil
 		prev.Index, r.Index = 0, 0
 		if prev != r {
-			t.Fatalf("engines diverge for %v:\n%+v\n%+v", k, prev, r)
+			t.Fatalf("shard counts diverge for %v:\n%+v\n%+v", k, prev, r)
 		}
 	}
 	if want := 2 * 2 * 2; len(seen) != want || distributed != 2*want {
@@ -170,9 +148,9 @@ func TestEngineAxisSweepIsDifferential(t *testing.T) {
 			distributed, len(seen), 2*want, want)
 	}
 	// The centralized exact baseline must appear once per scenario, not
-	// once per engine, and the expansion must say so.
+	// once per shard count, and the expansion must say so.
 	if len(rep.Skipped) == 0 {
-		t.Fatal("expected engine-axis collapse notes for the centralized baseline")
+		t.Fatal("expected shard-axis collapse notes for the centralized baseline")
 	}
 }
 

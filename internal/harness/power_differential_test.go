@@ -17,28 +17,28 @@ import (
 //
 //   - be a feasible cover / dominating set of the materialized Gʳ,
 //   - stay within the algorithm's oracle-checked approximation bound, and
-//   - be identical — solution, rounds, messages, bits — under both
-//     simulator engines (the per-power form of the engine differential).
+//   - be identical — solution, rounds, messages, bits — on the sequential
+//     and a sharded sweep (the per-power form of the shard differential).
 //
 // The r = 2 cells additionally stay bit-identical to the pre-generalization
 // implementation via core's TestGoldenR2Regression; together the two suites
 // pin both axes of the refactor (old-vs-new at r = 2, and correctness at
 // every other r).
 
-// powerJob builds one job for the given algorithm, engine, and power with
-// seeds derived the way Expand would derive them.
-func powerJob(alg, engine string, gen GeneratorSpec, n, r int, eps float64) Job {
-	return powerJobSolver(alg, engine, "", gen, n, r, eps)
+// powerJob builds one job for the given algorithm and power with seeds
+// derived the way Expand would derive them.
+func powerJob(alg string, gen GeneratorSpec, n, r int, eps float64) Job {
+	return powerJobSolver(alg, "", gen, n, r, eps)
 }
 
 // powerJobSolver is powerJob with an explicit localSolver knob. The solver
-// deliberately stays out of seed derivation (like the engine), so jobs that
-// differ only in the solver replay the identical run — which is what lets
-// the suite assert solver-differential equalities below.
-func powerJobSolver(alg, engine, solver string, gen GeneratorSpec, n, r int, eps float64) Job {
+// deliberately stays out of seed derivation (like the shard count), so jobs
+// that differ only in the solver replay the identical run — which is what
+// lets the suite assert solver-differential equalities below.
+func powerJobSolver(alg, solver string, gen GeneratorSpec, n, r int, eps float64) Job {
 	j := Job{
 		Generator: gen, N: n, Power: r, Algorithm: alg,
-		Epsilon: eps, Engine: engine, Trial: 0, OracleN: n,
+		Epsilon: eps, Trial: 0, OracleN: n,
 		LocalSolver: solver,
 	}
 	j.Seed = deriveSeed(23, j.cellKey(), 0)
@@ -47,10 +47,10 @@ func powerJobSolver(alg, engine, solver string, gen GeneratorSpec, n, r int, eps
 }
 
 // powerJobGather is powerJob with an explicit gather knob. Like the solver
-// and the engine, the gather mode stays out of seed derivation, so the
+// and the shard count, the gather mode stays out of seed derivation, so the
 // legacy and sparsified jobs replay the identical instance and Phase-I run.
-func powerJobGather(alg, engine, gather string, gen GeneratorSpec, n, r int, eps float64) Job {
-	j := powerJob(alg, engine, gen, n, r, eps)
+func powerJobGather(alg, gather string, gen GeneratorSpec, n, r int, eps float64) Job {
+	j := powerJob(alg, gen, n, r, eps)
 	j.Gather = gather
 	return j
 }
@@ -97,8 +97,8 @@ func powerRatioBound(t *testing.T, alg string, r int, eps float64, power *graph.
 }
 
 // TestCrossPowerDifferentialSuite sweeps every distributed algorithm over
-// every supported power on unweighted and weighted instances, under both
-// engines.
+// every supported power on unweighted and weighted instances, on the
+// sequential and a sharded sweep.
 func TestCrossPowerDifferentialSuite(t *testing.T) {
 	gens := []GeneratorSpec{
 		{Name: "connected-gnp"},
@@ -128,18 +128,20 @@ func TestCrossPowerDifferentialSuite(t *testing.T) {
 					if info.NeedsEps {
 						jobEps = eps
 					}
-					gor := executeJob(powerJob(info.Name, "goroutine", gen, n, r, jobEps), nil)
-					bat := executeJob(powerJob(info.Name, "batch", gen, n, r, jobEps), nil)
+					bat := executeJob(powerJob(info.Name, gen, n, r, jobEps), nil)
+					shJob := powerJob(info.Name, gen, n, r, jobEps)
+					shJob.Shards = 3
+					sh := executeJob(shJob, nil)
 					cell := fmt.Sprintf("%s r=%d", gen.Key(), r)
-					if gor.Error != "" || bat.Error != "" {
-						t.Fatalf("%s: errors: goroutine=%q batch=%q", cell, gor.Error, bat.Error)
+					if bat.Error != "" || sh.Error != "" {
+						t.Fatalf("%s: errors: sequential=%q sharded=%q", cell, bat.Error, sh.Error)
 					}
-					// Engine differential: identical measurements at every r.
-					gor.Engine, bat.Engine = "", ""
-					gor.Elapsed, bat.Elapsed = 0, 0
-					gor.Metrics, bat.Metrics = nil, nil
-					if *gor != *bat {
-						t.Fatalf("%s: engines diverge:\ngoroutine: %+v\nbatch:     %+v", cell, *gor, *bat)
+					// Shard differential: identical measurements at every r.
+					sh.Shards = 0
+					bat.Elapsed, sh.Elapsed = 0, 0
+					bat.Metrics, sh.Metrics = nil, nil
+					if *bat != *sh {
+						t.Fatalf("%s: sharded run diverges:\nsequential: %+v\nsharded:    %+v", cell, *bat, *sh)
 					}
 					// Solver differential: the explicit "kernel-exact" knob
 					// must replay the default ("") run identically, and the
@@ -147,14 +149,14 @@ func TestCrossPowerDifferentialSuite(t *testing.T) {
 					// except the leader-solve report (custom solvers have
 					// none) — at this size the ladder's direct path IS the
 					// legacy solver.
-					ker := executeJob(powerJobSolver(info.Name, "batch", "kernel-exact", gen, n, r, jobEps), nil)
-					ker.Engine, ker.Elapsed, ker.Metrics = "", 0, nil
+					ker := executeJob(powerJobSolver(info.Name, "kernel-exact", gen, n, r, jobEps), nil)
+					ker.Elapsed, ker.Metrics = 0, nil
 					if *ker != *bat {
 						t.Fatalf("%s: kernel-exact knob diverges from the default:\ndefault:      %+v\nkernel-exact: %+v",
 							cell, *bat, *ker)
 					}
-					leg := executeJob(powerJobSolver(info.Name, "batch", "exact", gen, n, r, jobEps), nil)
-					leg.Engine, leg.Elapsed, leg.Metrics = "", 0, nil
+					leg := executeJob(powerJobSolver(info.Name, "exact", gen, n, r, jobEps), nil)
+					leg.Elapsed, leg.Metrics = 0, nil
 					ker.LeaderPath, ker.LeaderKernelN = "", 0
 					if *leg != *ker {
 						t.Fatalf("%s: legacy exact solver diverges from kernel-exact:\nkernel-exact: %+v\nlegacy:       %+v",
@@ -166,7 +168,7 @@ func TestCrossPowerDifferentialSuite(t *testing.T) {
 					// must match exactly — only the Phase-II accounting
 					// (rounds/messages/bits and the near-U span) may move.
 					if r != 2 {
-						leg := executeJob(powerJobGather(info.Name, "batch", "legacy", gen, n, r, jobEps), nil)
+						leg := executeJob(powerJobGather(info.Name, "legacy", gen, n, r, jobEps), nil)
 						if leg.Error != "" {
 							t.Fatalf("%s: legacy gather: %s", cell, leg.Error)
 						}
@@ -195,40 +197,30 @@ func TestCrossPowerDifferentialSuite(t *testing.T) {
 							// MDS has no power gather: the knob must be
 							// fully inert.
 							leg2 := *leg
-							leg2.Gather, leg2.Engine, leg2.Elapsed, leg2.Metrics = "", "", 0, nil
+							leg2.Gather, leg2.Elapsed, leg2.Metrics = "", 0, nil
 							if leg2 != *bat {
 								t.Fatalf("%s: gather knob perturbed the gather-free MDS run:\ndefault: %+v\nlegacy:  %+v",
 									cell, *bat, leg2)
 							}
 						}
-						// Sharding the batch sweep must not change any
-						// sparsified measurement (the candidate flood and
-						// certificate exchange under the shard barrier).
-						shJob := powerJob(info.Name, "batch", gen, n, r, jobEps)
-						shJob.Shards = 3
-						sh := executeJob(shJob, nil)
-						sh.Engine, sh.Shards, sh.Elapsed, sh.Metrics = "", 0, 0, nil
-						if *sh != *bat {
-							t.Fatalf("%s: sharded run diverges:\nsequential: %+v\nsharded:    %+v", cell, *bat, *sh)
-						}
 					}
 					// Feasibility on the materialized Gʳ.
-					if !gor.Verified {
+					if !bat.Verified {
 						t.Fatalf("%s: solution is not feasible on G^%d", cell, r)
 					}
 					// Oracle-checked approximation bound.
-					if gor.Optimum < 0 {
+					if bat.Optimum < 0 {
 						t.Fatalf("%s: oracle did not run", cell)
 					}
-					power := buildPowerInstance(t, gen, n, r, gor.InstanceSeed)
+					power := buildPowerInstance(t, gen, n, r, bat.InstanceSeed)
 					bound := powerRatioBound(t, info.Name, r, eps, power)
-					if gor.Optimum == 0 {
-						if gor.Cost != 0 {
-							t.Fatalf("%s: OPT=0 but cost=%d", cell, gor.Cost)
+					if bat.Optimum == 0 {
+						if bat.Cost != 0 {
+							t.Fatalf("%s: OPT=0 but cost=%d", cell, bat.Cost)
 						}
-					} else if gor.Ratio > bound+1e-9 {
+					} else if bat.Ratio > bound+1e-9 {
 						t.Fatalf("%s: ratio %.4f (cost %d / opt %d) exceeds bound %.4f",
-							cell, gor.Ratio, gor.Cost, gor.Optimum, bound)
+							cell, bat.Ratio, bat.Cost, bat.Optimum, bound)
 					}
 				}
 			}
@@ -256,7 +248,7 @@ func TestCrossPowerSolutionsTrackPower(t *testing.T) {
 	gen := GeneratorSpec{Name: "path"}
 	opts := make(map[int]int64)
 	for _, r := range []int{1, 2, 3, 4} {
-		res := executeJob(powerJob("mvc-congest", "batch", gen, 13, r, 0.5), nil)
+		res := executeJob(powerJob("mvc-congest", gen, 13, r, 0.5), nil)
 		if res.Error != "" {
 			t.Fatalf("r=%d: %s", r, res.Error)
 		}
@@ -276,7 +268,7 @@ func TestCrossPowerSolutionsTrackPower(t *testing.T) {
 
 // TestPowerSweepSpecCrossPower is the spec-level acceptance test: the
 // checked-in specs/power-sweep.json must exercise at least three distributed
-// algorithms at r ∈ {1, 2, 3, 4} under both engines, with every job feasible
+// algorithms at r ∈ {1, 2, 3, 4}, with every job feasible
 // and every oracle-checked distributed MVC job within its ratio bound.
 func TestPowerSweepSpecCrossPower(t *testing.T) {
 	if testing.Short() {
@@ -293,29 +285,27 @@ func TestPowerSweepSpecCrossPower(t *testing.T) {
 	if rep.Failed != 0 {
 		for _, r := range rep.Results {
 			if r.Error != "" {
-				t.Errorf("%s n=%d r=%d eng=%s: %s", r.Algorithm, r.N, r.Power, r.Engine, r.Error)
+				t.Errorf("%s n=%d r=%d: %s", r.Algorithm, r.N, r.Power, r.Error)
 			}
 		}
 		t.Fatalf("%d jobs failed", rep.Failed)
 	}
 	distAlgs := map[string]bool{}
 	powers := map[int]bool{}
-	engines := map[string]bool{}
 	for _, r := range rep.Results {
 		if !r.Verified {
-			t.Errorf("%s n=%d r=%d eng=%s: infeasible on Gʳ", r.Algorithm, r.N, r.Power, r.Engine)
+			t.Errorf("%s n=%d r=%d: infeasible on Gʳ", r.Algorithm, r.N, r.Power)
 		}
 		if r.Model == ModelCentralized {
 			continue
 		}
 		distAlgs[r.Algorithm] = true
 		powers[r.Power] = true
-		engines[r.Engine] = true
 		if r.Optimum > 0 && r.Problem == ProblemMVC {
 			bound := powerRatioBound(t, r.Algorithm, r.Power, maxEps(spec), nil)
 			if r.Ratio > bound+1e-9 {
-				t.Errorf("%s n=%d r=%d eng=%s: ratio %.4f exceeds %.4f",
-					r.Algorithm, r.N, r.Power, r.Engine, r.Ratio, bound)
+				t.Errorf("%s n=%d r=%d: ratio %.4f exceeds %.4f",
+					r.Algorithm, r.N, r.Power, r.Ratio, bound)
 			}
 		}
 	}
@@ -325,11 +315,6 @@ func TestPowerSweepSpecCrossPower(t *testing.T) {
 	for _, r := range []int{1, 2, 3, 4} {
 		if !powers[r] {
 			t.Errorf("power-sweep has no distributed jobs at r=%d", r)
-		}
-	}
-	for _, e := range []string{"goroutine", "batch"} {
-		if !engines[e] {
-			t.Errorf("power-sweep has no distributed jobs under the %s engine", e)
 		}
 	}
 }

@@ -1,38 +1,6 @@
 package harness
 
-import (
-	"testing"
-
-	"powergraph/internal/congest"
-)
-
-// TestRegistryRunsNativelyOnBatchEngine proves the "zero coroutine
-// adaptations" claim: every distributed registry algorithm is flagged
-// NativeStep, and actually running each one on the batch engine never trips
-// the blocking-handler coroutine adapter (congest.AdapterRuns stays flat).
-func TestRegistryRunsNativelyOnBatchEngine(t *testing.T) {
-	before := congest.AdapterRuns()
-	for _, info := range AlgorithmInfos() {
-		if info.Model == ModelCentralized {
-			if info.NativeStep {
-				t.Errorf("%s: centralized entry flagged NativeStep", info.Name)
-			}
-			continue
-		}
-		if !info.NativeStep {
-			t.Errorf("%s: distributed entry not flagged NativeStep", info.Name)
-		}
-		for _, n := range []int{9, 20} {
-			res := executeJob(differentialJob(info.Name, "batch", n, 0.5), nil)
-			if res.Error != "" {
-				t.Fatalf("%s n=%d: %s", info.Name, n, res.Error)
-			}
-		}
-	}
-	if after := congest.AdapterRuns(); after != before {
-		t.Fatalf("batch runs used the coroutine adapter %d times; registry algorithms must step natively", after-before)
-	}
-}
+import "testing"
 
 // TestRegistryDescriptions keeps the powerbench -list output complete: every
 // algorithm and generator carries a one-line description.
@@ -50,8 +18,8 @@ func TestRegistryDescriptions(t *testing.T) {
 }
 
 // TestOracleCacheSolvesOncePerInstance pins the oracle-cache contract under
-// the widest sharing the harness produces: multiple algorithms, both
-// engines, and the full power axis in one sweep still trigger exactly one
+// the widest sharing the harness produces: multiple algorithms, two shard
+// counts, and the full power axis in one sweep still trigger exactly one
 // exact solve per (generator, n, power, instance-seed, problem) tuple — the
 // Gʳ cells (power ≠ 2) are cache cells of their own, never conflated with
 // the r = 2 solves of the same instance seed.
@@ -64,9 +32,9 @@ func TestOracleCacheSolvesOncePerInstance(t *testing.T) {
 		Sizes:      []int{12, 16},
 		Powers:     []int{1, 2, 3},
 		Algorithms: []string{"mvc-congest", "mwvc-congest", "mds-congest", "gavril", "exact", "exact-mds"},
-		// Both engines double every distributed job without changing the
-		// instance set — the cache must not solve anything twice for it.
-		EngineModes: []string{"goroutine", "batch"},
+		// Two shard counts double every distributed job without changing
+		// the instance set — the cache must not solve anything twice for it.
+		ShardCounts: []int{1, 3},
 		OracleN:     16,
 	}
 	jobs, _, err := spec.Expand()

@@ -32,7 +32,6 @@ type JobResult struct {
 	Model     string        `json:"model"`
 	Problem   string        `json:"problem"`
 	Epsilon   float64       `json:"epsilon,omitempty"`
-	Engine    string        `json:"engine,omitempty"`
 	// Gather is the generalized Phase-II gather mode the job ran with
 	// (empty = the sparsified default; see Spec.Gathers).
 	Gather string `json:"gather,omitempty"`
@@ -113,13 +112,12 @@ type JobResult struct {
 }
 
 // cellKey groups results into scenario cells for aggregation. Unlike
-// Job.cellKey (the seed-derivation key), it includes the engine mode, the
-// gather mode, and the shard count, so a two-engine, two-gather, or
-// multi-shard sweep aggregates each mode's measurements into separate,
-// comparable cells.
+// Job.cellKey (the seed-derivation key), it includes the gather mode and
+// the shard count, so a two-gather or multi-shard sweep aggregates each
+// mode's measurements into separate, comparable cells.
 func (r *JobResult) cellKey() string {
-	return fmt.Sprintf("%s|eng=%s|gm=%s|sh=%d",
-		scenarioKey(r.Generator, r.N, r.Power, r.Algorithm, r.Epsilon), r.Engine, r.Gather, r.Shards)
+	return fmt.Sprintf("%s|gm=%s|sh=%d",
+		scenarioKey(r.Generator, r.N, r.Power, r.Algorithm, r.Epsilon), r.Gather, r.Shards)
 }
 
 // Progress is delivered once per completed job, in emission (job-index)
@@ -483,7 +481,6 @@ func newJobResult(job Job) *JobResult {
 		Power:        job.Power,
 		Algorithm:    job.Algorithm,
 		Epsilon:      job.Epsilon,
-		Engine:       job.Engine,
 		Gather:       job.Gather,
 		Trial:        job.Trial,
 		Seed:         job.Seed,
@@ -501,6 +498,10 @@ func fillSolve(ctx context.Context, out *JobResult, g, power *graph.Graph, job J
 	alg, ok := lookupAlgorithm(job.Algorithm)
 	if !ok {
 		out.Error = fmt.Sprintf("unknown algorithm %q", job.Algorithm)
+		return
+	}
+	if err := CheckEngine(job.Engine); err != nil {
+		out.Error = err.Error()
 		return
 	}
 	out.Model = alg.Model

@@ -3,6 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -147,6 +148,56 @@ func TestLoadSpecRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := LoadSpec(path); err == nil {
 		t.Fatal("expected error for unknown field")
+	}
+}
+
+// TestLoadSpecEngineModes: engineModes is kept for spec files written when
+// the simulator had two engines. "batch" and "" load and change nothing —
+// the axis never multiplies jobs — while "goroutine" and unknown names are
+// rejected with the removal message, at load time for specs and at run time
+// for hand-built jobs.
+func TestLoadSpecEngineModes(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "spec.json")
+	load := func(modes string) (*Spec, error) {
+		spec := `{"name":"x","rootSeed":1,"generators":[{"name":"path"}],"sizes":[8],` +
+			`"algorithms":["mvc-congest","gavril"]` + modes + `}`
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadSpec(path)
+	}
+	plain, err := load("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := plain.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, modes := range []string{`"batch"`, `""`, `"batch",""`} {
+		spec, err := load(`,"engineModes":[` + modes + `]`)
+		if err != nil {
+			t.Fatalf("engineModes [%s] rejected: %v", modes, err)
+		}
+		got, _, err := spec.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("engineModes [%s] changed the expansion: %d jobs, want %d", modes, len(got), len(want))
+		}
+	}
+	for _, modes := range []string{`"goroutine"`, `"batch","goroutine"`, `"threads"`} {
+		_, err := load(`,"engineModes":[` + modes + `]`)
+		if err == nil || !strings.Contains(err.Error(), "goroutine engine was removed") {
+			t.Fatalf("engineModes [%s]: err = %v, want the removal message", modes, err)
+		}
+	}
+	job := want[0]
+	job.Engine = "goroutine"
+	if res := executeJob(job, nil); !strings.Contains(res.Error, "goroutine engine was removed") {
+		t.Fatalf("job with engine goroutine: error %q", res.Error)
 	}
 }
 

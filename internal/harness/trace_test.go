@@ -2,8 +2,8 @@ package harness
 
 import (
 	"bufio"
-	"context"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -19,12 +19,12 @@ import (
 	"powergraph/internal/obs"
 )
 
-// TestRegistryTraceConformance runs every distributed registry entry on both
-// engines across the full supported power range with a rounds-subscribed
-// collector attached, and checks the trace-completeness contract: one round
-// event per counted round, event sums reproducing the end-of-run Stats
-// exactly, every closed span drawn from the entry's declared taxonomy, and
-// span summaries agreeing across engines.
+// TestRegistryTraceConformance runs every distributed registry entry on the
+// sequential and a sharded sweep across the full supported power range with
+// a rounds-subscribed collector attached, and checks the trace-completeness
+// contract: one round event per counted round, event sums reproducing the
+// end-of-run Stats exactly, every closed span drawn from the entry's
+// declared taxonomy, and span summaries agreeing across shard counts.
 func TestRegistryTraceConformance(t *testing.T) {
 	for _, info := range AlgorithmInfos() {
 		if info.Model == ModelCentralized {
@@ -39,13 +39,13 @@ func TestRegistryTraceConformance(t *testing.T) {
 			t.Fatalf("%s: distributed entry declares no spans", info.Name)
 		}
 		for r := info.MinPower; r <= info.MaxPower; r++ {
-			summaries := map[string]string{}
-			for _, engine := range []string{"goroutine", "batch"} {
+			summaries := map[int]string{}
+			for _, shards := range []int{1, 3} {
 				job := Job{
 					Generator: GeneratorSpec{Name: "connected-gnp"},
 					N:         20, Power: r,
 					Algorithm: info.Name, Epsilon: 0.5,
-					Seed: 101, Engine: engine,
+					Seed: 101, Shards: shards,
 				}
 				rng := rand.New(rand.NewSource(job.instanceSeed()))
 				g, err := job.Generator.Build(job.N, rng)
@@ -55,46 +55,46 @@ func TestRegistryTraceConformance(t *testing.T) {
 				col := &obs.Collector{CollectRounds: true}
 				res, err := alg.Run(context.Background(), g, g.Power(r), job, col)
 				if err != nil {
-					t.Fatalf("%s r=%d %s: %v", info.Name, r, engine, err)
+					t.Fatalf("%s r=%d shards=%d: %v", info.Name, r, shards, err)
 				}
 
 				evs := col.RoundEvents()
 				if len(evs) != res.Stats.Rounds {
-					t.Fatalf("%s r=%d %s: %d round events for %d counted rounds",
-						info.Name, r, engine, len(evs), res.Stats.Rounds)
+					t.Fatalf("%s r=%d shards=%d: %d round events for %d counted rounds",
+						info.Name, r, shards, len(evs), res.Stats.Rounds)
 				}
 				var bits, msgs int64
 				for i, ev := range evs {
 					if ev.Round != i {
-						t.Fatalf("%s r=%d %s: event %d carries round %d",
-							info.Name, r, engine, i, ev.Round)
+						t.Fatalf("%s r=%d shards=%d: event %d carries round %d",
+							info.Name, r, shards, i, ev.Round)
 					}
 					bits += ev.Bits
 					msgs += ev.Messages
 				}
 				if bits != res.Stats.TotalBits || msgs != res.Stats.Messages {
-					t.Fatalf("%s r=%d %s: event sums bits=%d msgs=%d vs stats bits=%d msgs=%d",
-						info.Name, r, engine, bits, msgs, res.Stats.TotalBits, res.Stats.Messages)
+					t.Fatalf("%s r=%d shards=%d: event sums bits=%d msgs=%d vs stats bits=%d msgs=%d",
+						info.Name, r, shards, bits, msgs, res.Stats.TotalBits, res.Stats.Messages)
 				}
 
 				if open := col.OpenSpans(); len(open) != 0 {
-					t.Fatalf("%s r=%d %s: unclosed spans %v", info.Name, r, engine, open)
+					t.Fatalf("%s r=%d shards=%d: unclosed spans %v", info.Name, r, shards, open)
 				}
 				for _, name := range col.SpanNames() {
 					if !declared[name] {
-						t.Fatalf("%s r=%d %s: emitted span %q not in declared taxonomy %v",
-							info.Name, r, engine, name, info.Spans)
+						t.Fatalf("%s r=%d shards=%d: emitted span %q not in declared taxonomy %v",
+							info.Name, r, shards, name, info.Spans)
 					}
 				}
 				if _, end, ok := col.Run(); !ok || end.Rounds != res.Stats.Rounds {
-					t.Fatalf("%s r=%d %s: run-end missing or wrong: ok=%v end=%+v",
-						info.Name, r, engine, ok, end)
+					t.Fatalf("%s r=%d shards=%d: run-end missing or wrong: ok=%v end=%+v",
+						info.Name, r, shards, ok, end)
 				}
-				summaries[engine] = col.SpanSummary()
+				summaries[shards] = col.SpanSummary()
 			}
-			if summaries["goroutine"] != summaries["batch"] {
-				t.Fatalf("%s r=%d: span summaries diverge:\n goroutine %q\n batch     %q",
-					info.Name, r, summaries["goroutine"], summaries["batch"])
+			if summaries[1] != summaries[3] {
+				t.Fatalf("%s r=%d: span summaries diverge:\n shards=1 %q\n shards=3 %q",
+					info.Name, r, summaries[1], summaries[3])
 			}
 		}
 	}
@@ -104,13 +104,10 @@ func TestRegistryTraceConformance(t *testing.T) {
 // contract, with the shard axis folded in: the same spec produces
 // byte-identical JSONL and CSV result streams with per-job trace files
 // enabled and disabled, sequential and sharded — all four combinations —
-// and the trace directory holds one well-formed file per job. The sweep
-// runs both engines so the sharded batch path is genuinely exercised
-// (shards are a no-op on the goroutine engine).
+// and the trace directory holds one well-formed file per job.
 func TestTracingDoesNotPerturbSweep(t *testing.T) {
 	tracedSpec := func(shards int) *Spec {
 		spec := testSpec()
-		spec.EngineModes = []string{"goroutine", "batch"}
 		spec.Shards = shards
 		return spec
 	}
@@ -202,7 +199,7 @@ func checkTraceFile(t *testing.T, path string) {
 func TestCSVHeaderPinned(t *testing.T) {
 	want := []string{
 		"index", "generator", "n", "power", "algorithm", "model", "problem",
-		"epsilon", "engine", "gather", "trial", "seed", "instanceSeed", "cost",
+		"epsilon", "gather", "trial", "seed", "instanceSeed", "cost",
 		"solutionSize", "verified", "optimum", "ratio", "rounds", "messages",
 		"totalBits", "maxRoundBits", "maxRoundMessages", "bandwidth",
 		"phaseISize", "fallbackJoins", "leaderPath", "leaderKernelN", "spans",

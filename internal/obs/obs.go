@@ -16,11 +16,13 @@
 //     harness and for tests;
 //   - Multi fans events out to several tracers.
 //
-// Concurrency: the goroutine engine invokes SpanBegin/SpanEnd from handler
-// goroutines (serialized by the engine's span mutex, but interleaved with
-// driver-side Round calls), so Tracer implementations must be safe for
-// concurrent use. Within one round the relative order of span marks from
-// different nodes is unspecified; everything else is ordered.
+// Concurrency: calls into a Tracer never overlap within one run. The engine
+// emits run, round and span events from its round loop (a sharded run
+// replays span marks at the barrier, in node-id order), while a leader's
+// kernel-solve event fires inside its node's step — on a shard worker when
+// the run is sharded, between two barriers. The shipped implementations
+// are nevertheless safe for concurrent use, so one tracer may serve
+// several runs.
 package obs
 
 import (
@@ -67,7 +69,6 @@ type Tracer interface {
 type RunInfo struct {
 	N         int    `json:"n"`
 	Model     string `json:"model"`
-	Engine    string `json:"engine"`
 	Bandwidth int    `json:"bandwidth"`
 	MaxRounds int    `json:"maxRounds"`
 	Seed      int64  `json:"seed"`
@@ -210,12 +211,11 @@ func (w *JSONLWriter) Flush() error {
 func (w *JSONLWriter) Close() error { return w.Flush() }
 
 // spanAgg accumulates one (name, index) span instance inside a Collector.
-// Aggregation is keyed by the full instance, not the name alone: the engines
-// guarantee deterministic begin/end rounds per instance, but the emission
-// ORDER of marks from different instances within one round is unspecified on
-// the goroutine engine (a node's end(iter i) and begin(iter i+1) happen in
-// one handler activation, racing against its peers). Per-instance
-// aggregation makes the summary order-insensitive, hence deterministic.
+// Aggregation is keyed by the full instance, not the name alone: the engine
+// guarantees deterministic begin/end rounds per instance, and per-instance
+// aggregation keeps the summary independent of the order in which marks of
+// different instances arrive within one round (a node's end(iter i) and
+// begin(iter i+1) happen in one step).
 type spanAgg struct {
 	firstRound int   // round of the first begin — deterministic sort key
 	count      int   // completed begin→end pairs

@@ -10,7 +10,7 @@ import (
 func TestJSONLWriterEmitsTypedRecords(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewJSONLWriter(&buf)
-	w.RunStart(RunInfo{N: 4, Model: "CONGEST", Engine: "batch", Bandwidth: 16, MaxRounds: 100, Seed: 7})
+	w.RunStart(RunInfo{N: 4, Model: "CONGEST", Bandwidth: 16, MaxRounds: 100, Seed: 7})
 	w.Round(RoundEvent{Round: 0, Active: 4, Messages: 8, Bits: 32, MaxLink: 4})
 	w.SpanBegin(Span{Name: "phase1", Index: 0, Round: 0})
 	w.SpanEnd(Span{Name: "phase1", Index: 0, Round: 3})

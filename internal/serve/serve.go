@@ -251,7 +251,9 @@ func (inst *Instance) Churn(edits []graph.EdgeEdit) (*ChurnResult, error) {
 }
 
 // SolveRequest selects one query against a resident graph. The zero values
-// of Power, Engine, Shards pick the defaults the sweep harness uses.
+// of Power and Shards pick the defaults the sweep harness uses. Engine is
+// accepted for clients written when the simulator had two engines: "" and
+// "batch" change nothing, anything else is rejected (harness.CheckEngine).
 type SolveRequest struct {
 	Algorithm string  `json:"algorithm"`
 	Power     int     `json:"power,omitempty"`

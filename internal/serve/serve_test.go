@@ -45,7 +45,8 @@ func doJSON(t *testing.T, ts *httptest.Server, method, path string, body any) (i
 }
 
 // TestServerSmokeGolden drives the whole HTTP surface once — create via
-// generator, solve on two engines, churn, cached re-solve — and pins the
+// generator, solve without and with the engine field, churn, cached
+// re-solve — and pins the
 // deterministic part of each response against testdata/golden_smoke.json.
 // Regenerate with GOLDEN_UPDATE=1 go test ./internal/serve/ -run Golden.
 // It also checks that no goroutines leak once the server is closed.
@@ -76,19 +77,19 @@ func TestServerSmokeGolden(t *testing.T) {
 		t.Fatalf("create: HTTP %d: %v", status, body)
 	}
 
-	for _, engine := range []string{"goroutine", "batch"} {
+	// "" and "batch" name the one engine and replay the identical run, but
+	// the requests differ in the engine field — distinct cache keys, so both
+	// solves must be fresh executions with the same deterministic body.
+	for _, tc := range []struct{ label, engine string }{{"solve-default", ""}, {"solve-batch", "batch"}} {
 		status, body = doJSON(t, ts, "POST", "/v1/graphs/smoke/solve", SolveRequest{
-			Algorithm: "mvc-congest", Power: 2, Epsilon: 0.5, Engine: engine, Oracle: true,
+			Algorithm: "mvc-congest", Power: 2, Epsilon: 0.5, Engine: tc.engine, Oracle: true,
 		})
-		record("solve-"+engine, status, body)
+		record(tc.label, status, body)
 		if status != http.StatusOK {
-			t.Fatalf("solve (%s): HTTP %d: %v", engine, status, body)
+			t.Fatalf("%s: HTTP %d: %v", tc.label, status, body)
 		}
-		// The two engines replay the identical run, but the requests differ
-		// in the engine field — distinct cache keys, so both solves must be
-		// fresh executions.
 		if cached, _ := body["cached"].(bool); cached {
-			t.Fatalf("solve (%s) unexpectedly served from cache", engine)
+			t.Fatalf("%s unexpectedly served from cache", tc.label)
 		}
 	}
 
@@ -226,6 +227,15 @@ func TestServerValidation(t *testing.T) {
 	status, _ = doJSON(t, ts, "POST", "/v1/graphs/g/solve", SolveRequest{Algorithm: "gavril", Power: 9})
 	if status != http.StatusBadRequest {
 		t.Errorf("power out of range: HTTP %d", status)
+	}
+
+	// The removed goroutine engine and unknown engine names: 400s that
+	// say the goroutine engine is gone.
+	for _, engine := range []string{"goroutine", "threads"} {
+		status, body = doJSON(t, ts, "POST", "/v1/graphs/g/solve", SolveRequest{Algorithm: "mvc-congest", Engine: engine})
+		if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "goroutine engine was removed") {
+			t.Errorf("engine %q: HTTP %d %v", engine, status, body)
+		}
 	}
 
 	// Trailing garbage after a JSON body is rejected like spec files.

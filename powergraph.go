@@ -7,10 +7,10 @@
 // The package is a facade over the implementation packages:
 //
 //   - graph substrate with G²/Gʳ computation and generators;
-//   - a bit-accounting CONGEST / CONGESTED CLIQUE round simulator with two
-//     interchangeable execution engines (EngineGoroutine: one goroutine per
-//     node with barrier rounds; EngineBatch: batched event-driven, the fast
-//     choice at large n) and enforced O(log n)-bit messages;
+//   - a bit-accounting CONGEST / CONGESTED CLIQUE round simulator that
+//     steps every node's program once per round over flat message buffers
+//     (optionally sharded across workers with identical results) and
+//     enforces O(log n)-bit messages;
 //   - the paper's distributed algorithms (Theorems 1, 7, 11, 28,
 //     Corollaries 10, 17) and centralized algorithms (Theorem 12,
 //     Lemma 6);
@@ -101,10 +101,6 @@ type (
 	// Stats is the simulator's cost accounting (rounds, messages, bits,
 	// cut traffic).
 	Stats = congest.Stats
-	// EngineMode selects the simulator's execution engine (see
-	// EngineGoroutine and EngineBatch); set it via Options.Engine or a
-	// Spec's EngineModes axis.
-	EngineMode = congest.EngineMode
 	// FiveThirdsResult carries Algorithm 2's cover and per-part sets.
 	FiveThirdsResult = centralized.FiveThirdsResult
 	// Ratio reports solution cost against a reference optimum.
@@ -118,18 +114,6 @@ type (
 	KernelReport = kernel.Report
 	// KernelSolver is the configured kernelize-then-solve solver.
 	KernelSolver = kernel.Solver
-)
-
-// Simulator execution engines: both produce identical results for identical
-// seeds; EngineBatch is markedly faster at large n (see ARCHITECTURE.md).
-const (
-	// EngineGoroutine runs one goroutine per node with barrier rounds (the
-	// default).
-	EngineGoroutine = congest.EngineGoroutine
-	// EngineBatch advances all nodes round-by-round on one scheduler over
-	// flat message buffers — the engine that makes n ≥ 2000 sweeps
-	// practical.
-	EngineBatch = congest.EngineBatch
 )
 
 // NewBuilder returns a Builder for a graph on n vertices.
