@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,7 +104,7 @@ func TestBatchNeighborExchange(t *testing.T) {
 			for _, in := range nd.Recv() {
 				got = append(got, in.From)
 			}
-			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			if !slices.Equal(got, want) {
 				return false, true, fmt.Errorf("round %d: inbox from %v, want %v", r, got, want)
 			}
 		}
