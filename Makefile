@@ -8,7 +8,11 @@ OUT ?= bench-out
 build:
 	$(GO) build ./...
 
+# gofmt -l lists every tracked Go file whose formatting differs; any output
+# fails the target (and the CI vet step) before go vet runs.
 vet:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 test: vet docs-check
@@ -138,19 +142,19 @@ sweep-power-smoke:
 sweep-kernel:
 	$(GO) run ./cmd/powerbench -spec specs/kernel-sweep.json -strict -quiet -out $(OUT)
 
-# Sparsified-vs-legacy Phase-II gather comparison at r ∈ {3, 4},
-# n = 500…2000 (regenerates BENCH_sparsify.json): every cell runs twice on
-# identical instances and seeds — once through the StepSparsify certificate
-# gather, once through the legacy all-incident-edges near flood — so the
-# messages / maxRoundMessages columns are a controlled measurement of the
-# sparsifier's win.
+# The StepSparsify certificate gather at r ∈ {3, 4}, n = 500…2000, 36 jobs
+# (regenerates BENCH_sparsify.json, whose gatherMessages cells price the
+# Phase-II gather). It exits 1 after writing: 5 leader solves take the
+# kernel-fallback path, which -strict counts as failure — mvc-congest-rand
+# at r = 3, n ∈ {1000, 2000} on both generators, and the weighted
+# mwvc-congest at n = 2000, r = 3.
 sweep-sparsify:
 	$(GO) run ./cmd/powerbench -spec specs/sparsify-sweep.json -strict -quiet -out $(OUT)
 
-# CI gate for the sparsified gather: the sparsify matrix at smoke sizes
-# (r ∈ {3, 4}, both gather modes on identical instances) under -strict,
-# with per-job traces validated by powertrace — any infeasible Gʳ solution,
-# gather divergence, or malformed phase2-sparsify span fails the run.
+# CI gate for the certificate gather: the sparsify matrix at smoke sizes
+# (r ∈ {3, 4}) under -strict, with per-job traces validated by powertrace —
+# any infeasible Gʳ solution or malformed phase2-sparsify span fails the
+# run.
 sparsify-smoke:
 	$(GO) run ./cmd/powerbench -spec specs/sparsify-smoke.json -strict -quiet \
 		-out $(OUT) -trace $(OUT)/sparsify-traces

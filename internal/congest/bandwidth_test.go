@@ -21,11 +21,9 @@ import (
 // The constant 8 is the largest bandwidth factor any algorithm requests
 // (Theorem 28's estimator payloads); everything else runs at the default 4.
 //
-// The gather axis runs every r ≠ 2 cell under both the sparsified
-// certificate gather and the legacy near flood, so the sparsified
-// primitives (StepSparsify labels, the routed candidate-min relays) prove
-// their O(log n)-bit claim at r ∈ {1, 3, 4} alongside the
-// legacy baseline.
+// The r ≠ 2 cells run the sparsified primitives (StepSparsify labels, the
+// routed candidate-min relays), so they prove their O(log n)-bit claim at
+// r ∈ {1, 3, 4}.
 func TestRegistryBandwidthStaysLogarithmic(t *testing.T) {
 	const maxFactor = 8
 	var distributed []string
@@ -47,7 +45,6 @@ func TestRegistryBandwidthStaysLogarithmic(t *testing.T) {
 		Powers:     []int{1, 2, 3, 4},
 		Algorithms: distributed,
 		Epsilons:   []float64{0.5},
-		Gathers:    []string{"sparsified", "legacy"},
 		OracleN:    0,
 	}
 	rep, err := harness.Run(t.Context(), spec, harness.RunOptions{})

@@ -12,8 +12,8 @@ import (
 // arXiv 2305.04358): instead of every near-U node shipping all of its
 // incident edges to the leader, each node deterministically selects a
 // certificate subset of them that still preserves every ≤ r-hop U-to-U
-// path. The selection wants exact U-distances (the one-bit StepNearFlood
-// only yields membership in the grown set), so the primitive layers
+// path. The selection wants exact U-distances (membership in the near set
+// alone would not tell which edges are useful), so the primitive layers
 // dist(·, U) truncated at ⌊r/2⌋ — the deepest distance any endpoint of a
 // useful edge can have (on a shortest U-to-U path of length k ≤ r, the node
 // at position i sits at distance ≤ min(i, k−i) ≤ ⌊r/2⌋ from U).
@@ -41,10 +41,9 @@ import (
 //
 // Every announcement is one ⌈log₂(⌊r/2⌋+1)⌉-bit label per link, far inside
 // the O(log n) budget, and the whole exchange takes exactly
-// SparsifyRounds(r) communication rounds on any graph — the bounded-round
-// guarantee the O(m)-round legacy gather lacked, and (at r ∈ {3, 4})
-// cheaper than the legacy gather's edge stream by the margin
-// BENCH_sparsify.json prices.
+// SparsifyRounds(r) communication rounds on any graph, and the certificate
+// ships only edges a ≤ r-hop U-to-U path can use (BENCH_sparsify.json
+// prices the gather per cell).
 //
 // Certificate rule. A near node x (label dx ≤ d, d = ⌊(r-1)/2⌋ the
 // reporting radius) keeps its edge {x, y} iff
@@ -146,7 +145,8 @@ func SparsifyRounds(r int) int {
 	return r / 2
 }
 
-// Step advances one round-slice.
+// Step advances one round-slice. The stage is traced as the
+// "phase2-sparsify" span, begun on the first slice and ended on the last.
 func (s *StepSparsify) Step(nd *congest.Node) bool {
 	if s.slice >= 1 {
 		adopted := false
@@ -178,6 +178,7 @@ func (s *StepSparsify) Step(nd *congest.Node) bool {
 		}
 	}
 	if s.slice == s.rounds {
+		nd.SpanEnd("phase2-sparsify", 0)
 		return true
 	}
 	if s.label == s.slice+1 && s.label <= s.announce {
@@ -205,12 +206,17 @@ func (s *StepSparsify) Step(nd *congest.Node) bool {
 			nd.BroadcastNeighbors(msg)
 		}
 	}
+	if s.slice == 0 {
+		// SparsifyRounds(r) ≥ 1, so begin and end always land in distinct
+		// rounds and the span covers exactly SparsifyRounds(r) rounds.
+		nd.SpanBegin("phase2-sparsify", 0)
+	}
 	s.slice++
 	return false
 }
 
 // Near reports whether this node is a designated reporter (dist(·, U) ≤ d);
-// valid once done. It matches the set the legacy one-bit flood grows.
+// valid once done: exactly the nodes within ⌊(r−1)/2⌋ hops of U.
 func (s *StepSparsify) Near() bool { return s.label >= 0 && s.label <= s.d }
 
 // Label returns dist(this, U) truncated at ⌊r/2⌋, or -1 when the node is

@@ -20,13 +20,14 @@ type rhopOut struct {
 	MinFlood int64  // r chained StepMinFloods (-1 = saw nothing)
 	RankBest string // r chained StepRankFloods: "rank/id"
 	CandNbrs string // first rank-flood senders (the candidate neighbors)
-	Near     bool   // StepNearFlood grown r hops from the seed set
+	Near     bool   // StepSparsify reporter: a seed within ⌊(r−1)/2⌋ hops
 	CandMin  int64  // depth-r StepCandidateMinFlood at candidates (-1 else)
 }
 
 // rhopInputs derives every node's deterministic test inputs from its id:
 // which nodes hold min-flood samples, which are rank candidates, which seed
-// the near flood, and who votes for whom in the candidate flood.
+// the sparsify layering (the set U), and who votes for whom in the
+// candidate flood.
 type rhopInputs struct {
 	r int
 }
@@ -85,7 +86,7 @@ type rhopProgram struct {
 	candNbrs  []int
 	routes    []CandRoute
 	prevBest  int
-	near      *StepNearFlood
+	near      *StepSparsify
 	votes     *StepCandidateMinFlood
 	out       rhopOut
 }
@@ -142,7 +143,13 @@ func (p *rhopProgram) Step(nd *congest.Node) (bool, error) {
 			r, id := p.rank.Best()
 			p.out.RankBest = fmt.Sprintf("%d/%d", r, id)
 			p.out.CandNbrs = fmt.Sprint(p.candNbrs)
-			p.near = NewStepNearFlood(p.in.nearSeed(nd.ID()), p.in.r)
+			var seedNbrs []int
+			for _, u := range nd.Neighbors() {
+				if p.in.nearSeed(u) {
+					seedNbrs = append(seedNbrs, u)
+				}
+			}
+			p.near = NewStepSparsify(p.in.r, p.in.nearSeed(nd.ID()), seedNbrs)
 			p.stage = 3
 		case 3:
 			if !p.near.Step(nd) {
@@ -198,7 +205,7 @@ func rhopReference(g *graph.Graph, in rhopInputs, voteFor []int) []rhopOut {
 					bestRank, bestID = r, int64(u)
 				}
 			}
-			if in.nearSeed(u) {
+			if in.nearSeed(u) && dist[u] <= (in.r-1)/2 {
 				o.Near = true
 			}
 		}

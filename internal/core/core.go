@@ -85,14 +85,9 @@ type Options struct {
 	// r ≥ 2) and widens Phase II's reconstruction and the MDS estimator
 	// floods to depth r. See ARCHITECTURE.md, "Parametric Gʳ collectives".
 	Power int
-	// LocalSolver overrides the leader's Phase-II solver (default exact).
+	// LocalSolver overrides the leader's Phase-II solver (default: the
+	// kernelize-then-solve ladder of internal/kernel).
 	LocalSolver LocalSolver
-	// Gather selects the generalized Phase-II gather mode at power ≠ 2:
-	// GatherSparsified (zero value, the default) ships each near node's
-	// certificate edge subset after the bounded-round StepSparsify labeling;
-	// GatherLegacy pins the PR-4 all-incident-edges wire format for
-	// differential runs. The paper's r = 2 path ignores the knob.
-	Gather GatherMode
 	// CutA, when non-nil, makes the run report bits crossing the given
 	// vertex cut (Section 5.1 instrumentation).
 	CutA *bitset.Set
@@ -188,13 +183,6 @@ func (o *Options) power() (int, error) {
 		return 0, fmt.Errorf("core: power must be ≥ 1, got %d", o.Power)
 	}
 	return o.Power, nil
-}
-
-func (o *Options) gatherMode() GatherMode {
-	if o == nil {
-		return GatherSparsified
-	}
-	return o.Gather
 }
 
 func (o *Options) cutA() *bitset.Set {

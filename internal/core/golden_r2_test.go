@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	"powergraph/internal/exact"
 	"powergraph/internal/graph"
 )
 
@@ -20,14 +19,10 @@ import (
 // bit-identical — same messages, same rounds, same solutions — so this test
 // is the refactoring guard that compares new code against old.
 //
-// Since the kernelize-then-solve subsystem became the default leader solver,
-// the matrix runs under that default (i.e. it covers the "kernel-exact"
-// localSolver), and every record is additionally replayed with the legacy
-// raw exact solver pinned via Options.LocalSolver: the two must agree byte
-// for byte. That agreement is by construction — below kernel.DefaultDirectN
-// the ladder's direct path calls the legacy solver verbatim, and every
-// golden instance is smaller than that — so the fixtures survive the solver
-// swap untouched.
+// The matrix runs under the default kernelize-then-solve leader solver (the
+// "kernel-exact" localSolver). Every golden instance is smaller than
+// kernel.DefaultDirectN, so the ladder's direct rung solves it with the
+// exact branch and bound verbatim.
 //
 // Regenerate with:
 //
@@ -142,8 +137,7 @@ func TestGoldenR34Regression(t *testing.T) {
 }
 
 // runGoldenMatrix runs every golden algorithm on every golden graph at power
-// r (0 = the default r = 2), plus a replay with the legacy raw exact solver
-// pinned, and returns the records keyed by key.
+// r (0 = the default r = 2) and returns the records keyed by key.
 func runGoldenMatrix(t *testing.T, r int, key func(aName, gName string) string) map[string]goldenRecord {
 	t.Helper()
 	graphs := goldenGraphs()
@@ -155,19 +149,7 @@ func runGoldenMatrix(t *testing.T, r int, key func(aName, gName string) string) 
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			rec := goldenRecordOf(res)
-			// The default (kernel-exact) and the pinned legacy raw exact
-			// solver must be byte-identical on the golden matrix: the
-			// ladder's direct path guarantees it below DefaultDirectN.
-			legacy, err := run(g, &Options{Seed: 7, Power: r, LocalSolver: exact.VertexCover})
-			if err != nil {
-				t.Fatalf("%s (legacy solver): %v", key, err)
-			}
-			if lr := goldenRecordOf(legacy); !reflect.DeepEqual(rec, lr) {
-				t.Fatalf("%s: kernel-exact default diverges from the legacy exact solver:\nkernel: %+v\nlegacy: %+v",
-					key, rec, lr)
-			}
-			got[key] = rec
+			got[key] = goldenRecordOf(res)
 		}
 	}
 	return got

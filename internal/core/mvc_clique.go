@@ -54,8 +54,7 @@ func ApproxMVCCliqueDeterministic(g *graph.Graph, eps float64, opts *Options) (*
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mvcCliqueDetProgram{
 			n: n, l: l, power: r, iterations: iterations, solver: solver,
-			gmode: opts.gatherMode(),
-			inR:   true, inC: true,
+			inR: true, inC: true,
 		}
 	})
 	if err != nil {
@@ -80,7 +79,6 @@ const (
 type mvcCliqueDetProgram struct {
 	n, l, power, iterations int
 	solver                  LocalSolver
-	gmode                   GatherMode
 
 	sub, it       int
 	inR, inC, inS bool
@@ -168,7 +166,7 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 // send, the leader-election broadcast, is queued by the caller's next
 // phase2.Step call in the same slice).
 func (p *mvcCliqueDetProgram) enterPhaseII(nd *congest.Node) {
-	p.phase2 = newCliqueStepPhaseII(nd, p.inR, p.l, p.n, p.solver, p.power, p.gmode)
+	p.phase2 = newCliqueStepPhaseII(nd, p.inR, p.l, p.n, p.solver, p.power)
 }
 
 func (p *mvcCliqueDetProgram) Output() nodeOut {
@@ -181,32 +179,30 @@ func (p *mvcCliqueDetProgram) Output() nodeOut {
 // local solve, and a one-round answer. At r = 2 the shipped items are the
 // F-edges of Lemma 2 and maxItems must upper-bound every node's F-edge
 // count; at other powers the near-U gather of power_phase2.go runs instead
-// (grown over G-edges), every near node ships its gather-selected incident
-// edges — the sparsified certificate subset by default, all of them under
-// GatherLegacy — and the common-knowledge item bound is n (a node never
+// (labeled over G-edges), every near node ships its certificate subset of
+// incident edges, and the common-knowledge item bound is n (a node never
 // holds more than its degree plus one membership pair).
 type cliqueStepPhaseII struct {
 	n, power, maxItems int
 	inR                bool
 	solver             LocalSolver
-	gmode              GatherMode
 
 	sub      int
 	started  bool
 	leader   *primitives.StepCliqueLeader
 	status   *primitives.StepStatusExchange
-	near     *powerGather
+	near     *primitives.StepSparsify
 	gather   *primitives.StepDirectGather
 	leaderID int
 	inCover  bool
 }
 
-func newCliqueStepPhaseII(nd *congest.Node, inR bool, maxItems, n int, solver LocalSolver, power int, gmode GatherMode) *cliqueStepPhaseII {
+func newCliqueStepPhaseII(nd *congest.Node, inR bool, maxItems, n int, solver LocalSolver, power int) *cliqueStepPhaseII {
 	if power != 2 {
 		maxItems = n
 	}
 	return &cliqueStepPhaseII{
-		n: n, power: power, maxItems: maxItems, inR: inR, solver: solver, gmode: gmode,
+		n: n, power: power, maxItems: maxItems, inR: inR, solver: solver,
 		leader: primitives.NewStepCliqueLeader(nd),
 	}
 }
@@ -246,7 +242,7 @@ func (p *cliqueStepPhaseII) Step(nd *congest.Node) bool {
 				p.sub = 3
 				continue
 			}
-			p.near = newPowerGather(p.power, p.inR, p.status.On(), p.gmode)
+			p.near = primitives.NewStepSparsify(p.power, p.inR, p.status.On())
 			p.sub = 2
 		case 2:
 			if !p.near.Step(nd) {

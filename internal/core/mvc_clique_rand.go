@@ -65,7 +65,7 @@ func ApproxMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*Res
 	}
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mvcCliqueRandProgram{
-			n: n, tau: tau, power: r, solver: solver, gmode: opts.gatherMode(),
+			n: n, tau: tau, power: r, solver: solver,
 			voting: primitives.NewStepVotingPhase(primitives.VotingConfig{
 				Tau:         tau,
 				RandomIters: 8*congest.IDBits(n) + 16,
@@ -87,7 +87,6 @@ func ApproxMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*Res
 type mvcCliqueRandProgram struct {
 	n, tau, power int
 	solver        LocalSolver
-	gmode         GatherMode
 
 	voting *primitives.StepVotingPhase
 	phase2 *cliqueStepPhaseII
@@ -104,7 +103,7 @@ func (p *mvcCliqueRandProgram) Step(nd *congest.Node) (bool, error) {
 		if !p.voting.Step(nd) {
 			return false, nil
 		}
-		p.phase2 = newCliqueStepPhaseII(nd, p.voting.InR(), p.tau, p.n, p.solver, p.power, p.gmode)
+		p.phase2 = newCliqueStepPhaseII(nd, p.voting.InR(), p.tau, p.n, p.solver, p.power)
 	}
 }
 

@@ -71,8 +71,7 @@ func ApproxMVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, erro
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mvcCongestProgram{
 			n: n, l: l, power: r, iterations: iterations, idw: congest.IDBits(n),
-			solver: solver, gmode: opts.gatherMode(),
-			inR: true, inC: true,
+			solver: solver, inR: true, inC: true,
 		}
 	})
 	if err != nil {
@@ -90,7 +89,6 @@ func ApproxMVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, erro
 type mvcCongestProgram struct {
 	n, l, power, iterations, idw int
 	solver                       LocalSolver
-	gmode                        GatherMode
 
 	// Phase I state. sr counts Phase-I round-slices: slice 0 sends the
 	// first R-status broadcast, then each iteration occupies 4 slices, and
@@ -102,7 +100,7 @@ type mvcCongestProgram struct {
 	uNbrs               []int
 
 	stage   int
-	gather  *powerGather
+	gather  *primitives.StepSparsify
 	pipe    *primitives.StepLeaderPipeline
 	inRStar bool
 }
@@ -123,7 +121,7 @@ func (p *mvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 				p.stage = 2
 				continue
 			}
-			p.gather = newPowerGather(p.power, p.inR, p.uNbrs, p.gmode)
+			p.gather = primitives.NewStepSparsify(p.power, p.inR, p.uNbrs)
 			p.stage = 1
 		case 1:
 			if !p.gather.Step(nd) {

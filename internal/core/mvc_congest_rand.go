@@ -70,7 +70,7 @@ func ApproxMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*Re
 	}
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mvcRandCongestProgram{
-			n: n, power: r, idw: congest.IDBits(n), solver: solver, gmode: opts.gatherMode(),
+			n: n, power: r, idw: congest.IDBits(n), solver: solver,
 			voting: primitives.NewStepVotingPhase(primitives.VotingConfig{
 				Tau:         tau,
 				RandomIters: randomIters,
@@ -91,11 +91,10 @@ func ApproxMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*Re
 type mvcRandCongestProgram struct {
 	n, power, idw int
 	solver        LocalSolver
-	gmode         GatherMode
 
 	voting  *primitives.StepVotingPhase
 	status  *primitives.StepStatusExchange
-	gather  *powerGather
+	gather  *primitives.StepSparsify
 	pipe    *primitives.StepLeaderPipeline
 	stage   int
 	inRStar bool
@@ -122,7 +121,7 @@ func (p *mvcRandCongestProgram) Step(nd *congest.Node) (bool, error) {
 				p.stage = 3
 				continue
 			}
-			p.gather = newPowerGather(p.power, p.voting.InR(), p.status.On(), p.gmode)
+			p.gather = primitives.NewStepSparsify(p.power, p.voting.InR(), p.status.On())
 			p.stage = 2
 		case 2:
 			if !p.gather.Step(nd) {

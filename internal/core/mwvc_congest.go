@@ -103,7 +103,7 @@ func ApproxMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, err
 	}
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mwvcCongestProgram{
-			n: n, power: r, idw: idw, maxWBits: maxWBits, solver: solver, gmode: opts.gatherMode(),
+			n: n, power: r, idw: idw, maxWBits: maxWBits, solver: solver,
 			phase1: primitives.NewStepWeightedLocalRatio(nd, iterations, maxWBits, ripeSelector(ratio)),
 		}
 	})
@@ -178,10 +178,9 @@ func ripeSelector(ratio float64) primitives.PayeeSelector {
 type mwvcCongestProgram struct {
 	n, power, idw, maxWBits int
 	solver                  LocalSolver
-	gmode                   GatherMode
 
 	phase1  *primitives.StepWeightedLocalRatio
-	gather  *powerGather
+	gather  *primitives.StepSparsify
 	pipe    *primitives.StepLeaderPipeline
 	stage   int
 	inRStar bool
@@ -217,16 +216,16 @@ func (p *mwvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 				p.stage = 2
 				continue
 			}
-			p.gather = newPowerGather(p.power, p.phase1.InR(), p.phase1.UNbrs(), p.gmode)
+			p.gather = primitives.NewStepSparsify(p.power, p.phase1.InR(), p.phase1.UNbrs())
 			p.stage = 1
 		case 1:
 			if !p.gather.Step(nd) {
 				return false, nil
 			}
-			// Near nodes report their gather-selected incident edges (relay
+			// Near nodes report their certificate incident edges (relay
 			// paths of Gʳ[U] may route outside U); membership travels on
 			// weight reports.
-			items := p.weightedItems(nd, p.gather.EdgeNbrs(nd))
+			items := p.weightedItems(nd, p.gather.Certificate(nd))
 			p.pipe = primitives.NewStepLeaderPipeline(nd, items, func(gathered []congest.Message) []congest.Message {
 				return coverIDItems(leaderSolveWeightedPowerRemainder(p.n, p.power, gathered, p.solver), p.idw)
 			})

@@ -24,11 +24,6 @@ type CellSummary struct {
 	Model     string        `json:"model"`
 	Problem   string        `json:"problem"`
 	Epsilon   float64       `json:"epsilon,omitempty"`
-	// Gather is the generalized Phase-II gather mode the cell ran under
-	// (empty = the sparsified default). A two-mode sweep produces one cell
-	// per mode with identical solutions but different rounds/messages/bits —
-	// the sparsifier's measured win.
-	Gather string `json:"gather,omitempty"`
 	// Shards is the simulator's shard count for this cell (0 = the
 	// sequential sweep). It splits cells without touching measurements; a
 	// ShardCounts sweep compares the cells' WallMS.
@@ -55,14 +50,11 @@ type CellSummary struct {
 	Messages Dist `json:"messages"`
 	Bits     Dist `json:"bits"`
 	// MaxRoundMessages is the per-trial peak single-round message count —
-	// the congestion spike a sweep like specs/sparsify-sweep.json compares
-	// across gather modes (the legacy near flood's burst vs the certificate
-	// gather's bounded relays).
+	// the congestion spike of the run's busiest round.
 	MaxRoundMessages Dist `json:"maxRoundMessages"`
 	// GatherMessages is the Phase-II gather's own message count
-	// (JobResult.GatherMsgs): the metric the gather axis varies, which
-	// Messages — dominated by Phase I — hides. Zero-valued for cells with
-	// no gather stage.
+	// (JobResult.GatherMsgs), which Messages — dominated by Phase I —
+	// hides. Zero-valued for cells with no gather stage.
 	GatherMessages Dist `json:"gatherMessages"`
 	// WallMS is the per-job wall-clock distribution in milliseconds. Like
 	// the summary's ElapsedMS it is machine-dependent, which is why it
@@ -91,7 +83,7 @@ func Aggregate(results []JobResult) []CellSummary {
 			a = &acc{summary: CellSummary{
 				Generator: r.Generator, N: r.N, Power: r.Power,
 				Algorithm: r.Algorithm, Model: r.Model, Problem: r.Problem,
-				Epsilon: r.Epsilon, Gather: r.Gather, Shards: r.Shards,
+				Epsilon: r.Epsilon, Shards: r.Shards,
 			}}
 			cells[key] = a
 			order = append(order, key)

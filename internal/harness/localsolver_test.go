@@ -24,7 +24,11 @@ func TestLocalSolverRegistryInSync(t *testing.T) {
 	if _, err := parseLocalSolver(""); err != nil {
 		t.Errorf("empty solver name must select the default: %v", err)
 	}
-	if _, err := parseLocalSolver("no-such-solver"); err == nil {
-		t.Error("unknown solver name must be rejected")
+	// "exact" is no solver name: the kernel ladder's direct rung already
+	// runs the raw branch and bound on small instances.
+	for _, name := range []string{"no-such-solver", "exact"} {
+		if _, err := parseLocalSolver(name); err == nil {
+			t.Errorf("solver name %q must be rejected", name)
+		}
 	}
 }

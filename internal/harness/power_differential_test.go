@@ -34,7 +34,7 @@ func powerJob(alg string, gen GeneratorSpec, n, r int, eps float64) Job {
 // powerJobSolver is powerJob with an explicit localSolver knob. The solver
 // deliberately stays out of seed derivation (like the shard count), so jobs
 // that differ only in the solver replay the identical run — which is what
-// lets the suite assert solver-differential equalities below.
+// lets the suite assert the explicit default replays the implicit one.
 func powerJobSolver(alg, solver string, gen GeneratorSpec, n, r int, eps float64) Job {
 	j := Job{
 		Generator: gen, N: n, Power: r, Algorithm: alg,
@@ -43,15 +43,6 @@ func powerJobSolver(alg, solver string, gen GeneratorSpec, n, r int, eps float64
 	}
 	j.Seed = deriveSeed(23, j.cellKey(), 0)
 	j.InstanceSeed = deriveSeed(23, j.instanceKey(), 0)
-	return j
-}
-
-// powerJobGather is powerJob with an explicit gather knob. Like the solver
-// and the shard count, the gather mode stays out of seed derivation, so the
-// legacy and sparsified jobs replay the identical instance and Phase-I run.
-func powerJobGather(alg, gather string, gen GeneratorSpec, n, r int, eps float64) Job {
-	j := powerJob(alg, gen, n, r, eps)
-	j.Gather = gather
 	return j
 }
 
@@ -143,65 +134,28 @@ func TestCrossPowerDifferentialSuite(t *testing.T) {
 					if *bat != *sh {
 						t.Fatalf("%s: sharded run diverges:\nsequential: %+v\nsharded:    %+v", cell, *bat, *sh)
 					}
-					// Solver differential: the explicit "kernel-exact" knob
-					// must replay the default ("") run identically, and the
-					// pinned legacy "exact" solver must agree on everything
-					// except the leader-solve report (custom solvers have
-					// none) — at this size the ladder's direct path IS the
-					// legacy solver.
+					// The explicit "kernel-exact" knob must replay the
+					// default ("") run identically.
 					ker := executeJob(powerJobSolver(info.Name, "kernel-exact", gen, n, r, jobEps), nil)
 					ker.Elapsed, ker.Metrics = 0, nil
 					if *ker != *bat {
 						t.Fatalf("%s: kernel-exact knob diverges from the default:\ndefault:      %+v\nkernel-exact: %+v",
 							cell, *bat, *ker)
 					}
-					leg := executeJob(powerJobSolver(info.Name, "exact", gen, n, r, jobEps), nil)
-					leg.Elapsed, leg.Metrics = 0, nil
-					ker.LeaderPath, ker.LeaderKernelN = "", 0
-					if *leg != *ker {
-						t.Fatalf("%s: legacy exact solver diverges from kernel-exact:\nkernel-exact: %+v\nlegacy:       %+v",
-							cell, *ker, *leg)
-					}
-					// Gather differential (r ≠ 2 only; r = 2 has no gather
-					// knob): the pinned legacy wire format replays the
-					// identical instance and Phase-I run, so the solution
-					// must match exactly — only the Phase-II accounting
-					// (rounds/messages/bits and the near-U span) may move.
-					if r != 2 {
-						leg := executeJob(powerJobGather(info.Name, "legacy", gen, n, r, jobEps), nil)
-						if leg.Error != "" {
-							t.Fatalf("%s: legacy gather: %s", cell, leg.Error)
+					// Per-r round bound of the near-U labeling (r ≠ 2; r = 2
+					// ships the paper's F-edges unlabeled): exactly
+					// SparsifyRounds(r) label rounds; the end mark lands in
+					// the handoff slice shared with the item stage, so the
+					// span covers exactly SparsifyRounds(r) rounds. Whether
+					// the gathered graph is exactly Gʳ[U] is checked
+					// directly by core's TestLeaderRebuildsInducedPower.
+					if r != 2 && info.Problem == ProblemMVC {
+						cnt, rd, ok := sparsifySpan(bat.Spans)
+						if !ok {
+							t.Fatalf("%s: no phase2-sparsify span in %q", cell, bat.Spans)
 						}
-						if leg.Cost != bat.Cost || leg.SolutionSize != bat.SolutionSize ||
-							leg.Verified != bat.Verified || leg.Optimum != bat.Optimum {
-							t.Fatalf("%s: legacy gather changes the solution:\nsparsified: %+v\nlegacy:     %+v",
-								cell, *bat, *leg)
-						}
-						if info.Problem == ProblemMVC {
-							// Per-r round bound of the sparsified near-U
-							// labeling: exactly SparsifyRounds(r) label
-							// rounds; the end mark lands in the handoff
-							// slice shared with the item stage, so the span
-							// covers exactly SparsifyRounds(r) rounds.
-							cnt, rd, ok := sparsifySpan(bat.Spans)
-							if !ok {
-								t.Fatalf("%s: no phase2-sparsify span in %q", cell, bat.Spans)
-							}
-							if want := primitives.SparsifyRounds(r); cnt != 1 || rd != want {
-								t.Fatalf("%s: phase2-sparsify span *%d:%d, want *1:%d", cell, cnt, rd, want)
-							}
-							if _, _, ok := sparsifySpan(leg.Spans); ok {
-								t.Fatalf("%s: legacy gather emitted a phase2-sparsify span: %q", cell, leg.Spans)
-							}
-						} else {
-							// MDS has no power gather: the knob must be
-							// fully inert.
-							leg2 := *leg
-							leg2.Gather, leg2.Elapsed, leg2.Metrics = "", 0, nil
-							if leg2 != *bat {
-								t.Fatalf("%s: gather knob perturbed the gather-free MDS run:\ndefault: %+v\nlegacy:  %+v",
-									cell, *bat, leg2)
-							}
+						if want := primitives.SparsifyRounds(r); cnt != 1 || rd != want {
+							t.Fatalf("%s: phase2-sparsify span *%d:%d, want *1:%d", cell, cnt, rd, want)
 						}
 					}
 					// Feasibility on the materialized Gʳ.

@@ -32,11 +32,8 @@ type JobResult struct {
 	Model     string        `json:"model"`
 	Problem   string        `json:"problem"`
 	Epsilon   float64       `json:"epsilon,omitempty"`
-	// Gather is the generalized Phase-II gather mode the job ran with
-	// (empty = the sparsified default; see Spec.Gathers).
-	Gather string `json:"gather,omitempty"`
-	Trial  int    `json:"trial"`
-	Seed   int64  `json:"seed"`
+	Trial     int           `json:"trial"`
+	Seed      int64         `json:"seed"`
 	// InstanceSeed is the seed that generated the graph (see
 	// Job.InstanceSeed); omitted for hand-built jobs that use Seed.
 	InstanceSeed int64 `json:"instanceSeed,omitempty"`
@@ -76,12 +73,12 @@ type JobResult struct {
 	// centralized baselines.
 	Spans string `json:"spans,omitempty"`
 	// GatherMsgs is the network message count of the Phase-II gather alone:
-	// the traffic inside the phase2-sparsify / phase2-near / phase2-gather
-	// spans (from the engines' round-boundary snapshots, see
-	// obs.Collector.SpanMessages). It isolates the cost the gather axis
-	// varies — Phase I dwarfs it in Messages — and is deterministic per
-	// seed, so it lives in the serialized record. Zero when the algorithm
-	// has no gather stage (MDS, centralized, r = 2's F-edge path).
+	// the traffic inside the phase2-sparsify / phase2-gather spans (from
+	// the engine's round-boundary snapshots, see
+	// obs.Collector.SpanMessages). It isolates the gather's cost — Phase I
+	// dwarfs it in Messages — and is deterministic per seed, so it lives in
+	// the serialized record. Zero when the algorithm has no gather stage
+	// (MDS, centralized, r = 2's F-edge path).
 	GatherMsgs int64 `json:"gatherMsgs,omitempty"`
 
 	// Error is set when the job failed (including recovered panics, which
@@ -112,12 +109,12 @@ type JobResult struct {
 }
 
 // cellKey groups results into scenario cells for aggregation. Unlike
-// Job.cellKey (the seed-derivation key), it includes the gather mode and
-// the shard count, so a two-gather or multi-shard sweep aggregates each
-// mode's measurements into separate, comparable cells.
+// Job.cellKey (the seed-derivation key), it includes the shard count, so a
+// multi-shard sweep aggregates each count's measurements into separate,
+// comparable cells.
 func (r *JobResult) cellKey() string {
-	return fmt.Sprintf("%s|gm=%s|sh=%d",
-		scenarioKey(r.Generator, r.N, r.Power, r.Algorithm, r.Epsilon), r.Gather, r.Shards)
+	return fmt.Sprintf("%s|sh=%d",
+		scenarioKey(r.Generator, r.N, r.Power, r.Algorithm, r.Epsilon), r.Shards)
 }
 
 // Progress is delivered once per completed job, in emission (job-index)
@@ -458,7 +455,7 @@ func SolveInstance(ctx context.Context, g, power *graph.Graph, job Job, tr obs.T
 		if col, ok := tr.(*obs.Collector); ok && col != nil {
 			out.Spans = col.SpanSummary()
 			spanMsgs := col.SpanMessages()
-			out.GatherMsgs = spanMsgs["phase2-sparsify"] + spanMsgs["phase2-near"] + spanMsgs["phase2-gather"]
+			out.GatherMsgs = spanMsgs["phase2-sparsify"] + spanMsgs["phase2-gather"]
 		}
 	}()
 	defer func() {
@@ -481,7 +478,6 @@ func newJobResult(job Job) *JobResult {
 		Power:        job.Power,
 		Algorithm:    job.Algorithm,
 		Epsilon:      job.Epsilon,
-		Gather:       job.Gather,
 		Trial:        job.Trial,
 		Seed:         job.Seed,
 		InstanceSeed: job.InstanceSeed,
@@ -501,6 +497,10 @@ func fillSolve(ctx context.Context, out *JobResult, g, power *graph.Graph, job J
 		return
 	}
 	if err := CheckEngine(job.Engine); err != nil {
+		out.Error = err.Error()
+		return
+	}
+	if err := checkGather(job.Gather); err != nil {
 		out.Error = err.Error()
 		return
 	}
@@ -595,7 +595,7 @@ func (x *jobExec) run(ctx context.Context, job Job) (out *JobResult) {
 		out.Elapsed = time.Since(start)
 		out.Spans = col.SpanSummary()
 		spanMsgs := col.SpanMessages()
-		out.GatherMsgs = spanMsgs["phase2-sparsify"] + spanMsgs["phase2-near"] + spanMsgs["phase2-gather"]
+		out.GatherMsgs = spanMsgs["phase2-sparsify"] + spanMsgs["phase2-gather"]
 		snap := obs.ReadRuntime()
 		out.Metrics = &obs.JobMetrics{
 			QueueNS:    start.Sub(x.runStart).Nanoseconds(),

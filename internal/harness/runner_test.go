@@ -3,8 +3,8 @@ package harness
 import (
 	"bytes"
 	"context"
-	"errors"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"runtime"
 	"strings"

@@ -37,7 +37,7 @@ func (s *JSONLSink) Close() error { return nil }
 // csvHeader is the fixed column order of CSVSink.
 var csvHeader = []string{
 	"index", "generator", "n", "power", "algorithm", "model", "problem",
-	"epsilon", "gather", "trial", "seed", "instanceSeed", "cost",
+	"epsilon", "trial", "seed", "instanceSeed", "cost",
 	"solutionSize", "verified", "optimum", "ratio", "rounds", "messages",
 	"totalBits", "maxRoundBits", "maxRoundMessages", "bandwidth",
 	"phaseISize", "fallbackJoins", "leaderPath", "leaderKernelN", "spans",
@@ -73,7 +73,6 @@ func (s *CSVSink) Write(r *JobResult) error {
 		r.Model,
 		r.Problem,
 		formatFloat(r.Epsilon),
-		r.Gather,
 		strconv.Itoa(r.Trial),
 		strconv.FormatInt(r.Seed, 10),
 		strconv.FormatInt(r.InstanceSeed, 10),

@@ -201,6 +201,35 @@ func TestLoadSpecEngineModes(t *testing.T) {
 	}
 }
 
+// TestLoadSpecRejectsGathers: the gathers axis is gone with the legacy
+// gather, so a spec that still names it fails to load instead of silently
+// running one gather; a hand-built job naming the legacy gather fails at run
+// time with the removal message.
+func TestLoadSpecRejectsGathers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spec.json")
+	spec := `{"name":"x","rootSeed":1,"generators":[{"name":"path"}],"sizes":[8],"powers":[3],` +
+		`"algorithms":["mvc-congest"],"gathers":["sparsified","legacy"]}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSpec(path); err == nil || !strings.Contains(err.Error(), "gathers") {
+		t.Fatalf("spec with gathers: err = %v, want an unknown-field error", err)
+	}
+	job := Job{Generator: GeneratorSpec{Name: "path"}, N: 8, Power: 3, Algorithm: "mvc-congest", Epsilon: 0.5, Seed: 1}
+	for _, gather := range []string{"", "sparsified"} {
+		job.Gather = gather
+		if res := executeJob(job, nil); res.Error != "" {
+			t.Fatalf("job with gather %q: error %q", gather, res.Error)
+		}
+	}
+	for _, gather := range []string{"legacy", "bogus"} {
+		job.Gather = gather
+		if res := executeJob(job, nil); !strings.Contains(res.Error, "legacy gather was removed") {
+			t.Fatalf("job with gather %q: error %q", gather, res.Error)
+		}
+	}
+}
+
 func TestLoadSpecRejectsTrailingGarbage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spec.json")

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -199,7 +200,7 @@ func checkTraceFile(t *testing.T, path string) {
 func TestCSVHeaderPinned(t *testing.T) {
 	want := []string{
 		"index", "generator", "n", "power", "algorithm", "model", "problem",
-		"epsilon", "gather", "trial", "seed", "instanceSeed", "cost",
+		"epsilon", "trial", "seed", "instanceSeed", "cost",
 		"solutionSize", "verified", "optimum", "ratio", "rounds", "messages",
 		"totalBits", "maxRoundBits", "maxRoundMessages", "bandwidth",
 		"phaseISize", "fallbackJoins", "leaderPath", "leaderKernelN", "spans",
@@ -208,16 +209,28 @@ func TestCSVHeaderPinned(t *testing.T) {
 	if !reflect.DeepEqual(csvHeader, want) {
 		t.Fatalf("csvHeader changed:\n got  %v\n want %v", csvHeader, want)
 	}
-	// Every JobResult field that serializes must have a column (Spans and
-	// MaxRoundMessages regressions hide silently otherwise).
+	// Every data record must fill exactly the header's columns, so a field
+	// added to or dropped from the row without its header entry (or the
+	// reverse) fails here instead of shifting every later column.
 	var buf bytes.Buffer
 	s := NewCSVSink(&buf)
 	if err := s.Write(&JobResult{}); err != nil {
 		t.Fatal(err)
 	}
-	line, _, _ := strings.Cut(buf.String(), "\n")
-	if got := len(strings.Split(line, ",")); got != len(want) {
-		t.Fatalf("header row has %d columns, want %d", got, len(want))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := csv.NewReader(&buf)
+	r.FieldsPerRecord = -1
+	recs, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("got %d CSV lines, want header + one record", len(recs))
+	}
+	if got := len(recs[1]); got != len(csvHeader) {
+		t.Fatalf("data record has %d columns, header has %d", got, len(csvHeader))
 	}
 }
 

@@ -425,8 +425,8 @@ func (c *Collector) SpanSummary() string {
 // during completed spans of that name (summed over instances, computed from
 // the round-boundary snapshots the engines stamp on every mark). Like
 // SpanSummary it is a pure function of the seeded run, identical on every
-// engine — it is how the harness prices the Phase-II gather for
-// BENCH_sparsify.json's legacy-vs-sparsified comparison.
+// engine — it is how the harness prices the Phase-II gather
+// (JobResult.GatherMsgs, the gatherMessages cells of BENCH_sparsify.json).
 func (c *Collector) SpanMessages() map[string]int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

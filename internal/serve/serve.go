@@ -251,9 +251,11 @@ func (inst *Instance) Churn(edits []graph.EdgeEdit) (*ChurnResult, error) {
 }
 
 // SolveRequest selects one query against a resident graph. The zero values
-// of Power and Shards pick the defaults the sweep harness uses. Engine is
-// accepted for clients written when the simulator had two engines: "" and
-// "batch" change nothing, anything else is rejected (harness.CheckEngine).
+// of Power and Shards pick the defaults the sweep harness uses. Engine and
+// Gather are accepted for clients written when the simulator had two
+// engines and Phase II two gathers: "" and "batch" (engine) or "sparsified"
+// (gather) change nothing, anything else is rejected by the harness with a
+// 400.
 type SolveRequest struct {
 	Algorithm string  `json:"algorithm"`
 	Power     int     `json:"power,omitempty"`
@@ -321,6 +323,15 @@ func (inst *Instance) cacheKey(req SolveRequest, version uint64) string {
 func (inst *Instance) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
 	if req.Power == 0 {
 		req.Power = 2
+	}
+	// The only engine and the only gather may be named or omitted; fold the
+	// names into the empty default so both spellings share one cache entry.
+	// Any other value passes through and fails in the harness.
+	if req.Engine == "batch" {
+		req.Engine = ""
+	}
+	if req.Gather == "sparsified" {
+		req.Gather = ""
 	}
 	version, view, power, err := inst.snapshot(req.Power)
 	if err != nil {

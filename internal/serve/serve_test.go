@@ -77,10 +77,12 @@ func TestServerSmokeGolden(t *testing.T) {
 		t.Fatalf("create: HTTP %d: %v", status, body)
 	}
 
-	// "" and "batch" name the one engine and replay the identical run, but
-	// the requests differ in the engine field — distinct cache keys, so both
-	// solves must be fresh executions with the same deterministic body.
-	for _, tc := range []struct{ label, engine string }{{"solve-default", ""}, {"solve-batch", "batch"}} {
+	// "" and "batch" name the one engine, so they share one cache entry:
+	// the first solve is a fresh execution, the "batch" spelling a hit.
+	for _, tc := range []struct {
+		label, engine string
+		cached        bool
+	}{{"solve-default", "", false}, {"solve-batch", "batch", true}} {
 		status, body = doJSON(t, ts, "POST", "/v1/graphs/smoke/solve", SolveRequest{
 			Algorithm: "mvc-congest", Power: 2, Epsilon: 0.5, Engine: tc.engine, Oracle: true,
 		})
@@ -88,8 +90,8 @@ func TestServerSmokeGolden(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("%s: HTTP %d: %v", tc.label, status, body)
 		}
-		if cached, _ := body["cached"].(bool); cached {
-			t.Fatalf("%s unexpectedly served from cache", tc.label)
+		if cached, _ := body["cached"].(bool); cached != tc.cached {
+			t.Fatalf("%s: cached = %v, want %v", tc.label, cached, tc.cached)
 		}
 	}
 
@@ -236,6 +238,18 @@ func TestServerValidation(t *testing.T) {
 		if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "goroutine engine was removed") {
 			t.Errorf("engine %q: HTTP %d %v", engine, status, body)
 		}
+	}
+	// Likewise the removed legacy gather and unknown gather names, at a
+	// power where the gather runs; "sparsified", the only gather, is served.
+	for _, gather := range []string{"legacy", "bogus"} {
+		status, body = doJSON(t, ts, "POST", "/v1/graphs/g/solve", SolveRequest{Algorithm: "mvc-congest", Power: 3, Epsilon: 0.5, Gather: gather})
+		if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "legacy gather was removed") {
+			t.Errorf("gather %q: HTTP %d %v", gather, status, body)
+		}
+	}
+	status, body = doJSON(t, ts, "POST", "/v1/graphs/g/solve", SolveRequest{Algorithm: "mvc-congest", Power: 3, Epsilon: 0.5, Gather: "sparsified"})
+	if status != http.StatusOK {
+		t.Errorf("gather \"sparsified\": HTTP %d %v", status, body)
 	}
 
 	// Trailing garbage after a JSON body is rejected like spec files.
