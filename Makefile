@@ -92,10 +92,10 @@ bench-incpower:
 bench-obs:
 	$(GO) test -bench=BenchmarkObs -benchmem -run='^$$' ./internal/congest/
 
-# Kernelize-then-solve vs legacy raw exact on leader-shaped instances
-# (squares of sparse graphs): solve time, kernel size after reductions, and
-# whether the raw solver exhausts the stress budget; then the raw branch and
-# bound alone (split and legacy entry points on G² of G(150, c/150)), whose
+# Kernelize-then-solve vs the raw branch and bound on leader-shaped
+# instances (squares of sparse graphs): solve time, search nodes, kernel
+# size after reductions, and whether the raw search exhausts the stress
+# budget; then the raw search alone on G² of G(150, c/150), whose
 # allocs/op stay flat in the node count.
 bench-kernel:
 	$(GO) test -bench='BenchmarkKernel' -benchmem -run='^$$' ./internal/kernel/
@@ -106,9 +106,10 @@ bench-kernel:
 fuzz-kernel:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLiftFeasible -fuzztime=20s ./internal/kernel/
 
-# Short fuzz pass over the exact vertex-cover search itself (brute-force
-# optimality, repeat-call determinism, 1-node budget trips and best-so-far
-# covers) — the CI smoke configuration.
+# Short fuzz pass over the exact searches themselves, vertex cover and set
+# cover through the dominating-set entry points (brute-force optimality,
+# repeat-call determinism, 1-node budget trips, best-so-far covers) — the
+# CI smoke configuration.
 fuzz-exact:
 	$(GO) test -run='^$$' -fuzz=FuzzVertexCoverSearch -fuzztime=20s ./internal/kernel/
 
@@ -190,10 +191,14 @@ trace-smoke:
 	$(GO) run ./cmd/powertrace -check $(OUT)/traces
 
 # Documentation gate: every package under internal/ must carry a package
-# comment (a "// Package <name> ..." line somewhere in the package), and
-# every BENCH_*.json that a tracked *.md, Go file or this Makefile cites by
-# bare name must be in the tree (names under a directory, like
-# bench-out/BENCH_x.json, are run outputs and are skipped).
+# comment (a "// Package <name> ..." line somewhere in the package); every
+# BENCH_*.json that a tracked *.md, Go file or this Makefile cites by bare
+# name must be in the tree (names under a directory, like
+# bench-out/BENCH_x.json, are run outputs and are skipped); and every *.md
+# those files cite must exist, relative to the repository root or to the
+# citing file. CHANGES.md (a history log) and ISSUE.md (the open work
+# request) name files that are gone on purpose and are not checked for
+# *.md citations.
 docs-check:
 	@fail=0; \
 	for d in internal/*/ internal/congest/primitives/; do \
@@ -208,7 +213,15 @@ docs-check:
 			echo "docs-check: $$f is cited but not in the tree"; fail=1; \
 		fi; \
 	done; \
-	[ $$fail -eq 0 ] && echo "docs-check: all internal packages documented, all cited BENCH files present"; \
+	for src in $$(git ls-files '*.md' '*.go' Makefile | grep -vxE 'CHANGES.md|ISSUE.md'); do \
+		for f in $$(grep -oE '(^|[^A-Za-z0-9_./-])[A-Za-z0-9_.-][A-Za-z0-9_./-]*\.md([^A-Za-z0-9_]|$$)' $$src | \
+			sed -E 's/^[^A-Za-z0-9_.-]//; s/[^A-Za-z0-9_]$$//' | sort -u); do \
+			if [ ! -f $$f ] && [ ! -f $$(dirname $$src)/$$f ]; then \
+				echo "docs-check: $$f is cited in $$src but not in the tree"; fail=1; \
+			fi; \
+		done; \
+	done; \
+	[ $$fail -eq 0 ] && echo "docs-check: all internal packages documented, all cited BENCH and .md files present"; \
 	exit $$fail
 
 clean:

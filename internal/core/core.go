@@ -53,10 +53,9 @@ import (
 // the leader during Phase II. Algorithm 1 uses an exact-quality solver;
 // Corollary 17 swaps in the centralized 5/3-approximation for polynomial
 // local work. The default is the kernelize-then-solve ladder of
-// internal/kernel — reduction rules, then bounded branch and bound, then a
-// polynomial local-ratio fallback — which matches the legacy raw exact
-// solver bit for bit on small instances (its direct path) and cracks the
-// large sparse leader instances the raw solver could not.
+// internal/kernel: instances with at most kernel.DirectN vertices go
+// straight to the exact search; larger ones get reduction rules, then
+// bounded branch and bound, then a polynomial local-ratio fallback.
 type LocalSolver func(*graph.Graph) *bitset.Set
 
 // Options tune a distributed run. The zero value is ready to use.

@@ -21,7 +21,7 @@ import (
 //
 // The matrix runs under the default kernelize-then-solve leader solver (the
 // "kernel-exact" localSolver). Every golden instance is smaller than
-// kernel.DefaultDirectN, so the ladder's direct rung solves it with the
+// kernel.DirectN, so the ladder's direct rung solves it with the
 // exact branch and bound verbatim.
 //
 // Regenerate with:

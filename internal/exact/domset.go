@@ -1,28 +1,29 @@
 package exact
 
 import (
-	"math"
-	"sort"
-
 	"powergraph/internal/bitset"
 	"powergraph/internal/graph"
 )
+
+// Minimum dominating set is the set cover whose universe is V and whose
+// candidate sets are the closed neighborhoods N[v] at weight w(v); the
+// dominating-set entry points build that instance and run the set-cover
+// search and greedy on it. Every zero-weight vertex dominates for free, so
+// it is always in the returned set (the gadget constructions of Section 7
+// rely on this, cf. Lemma 36's "we can assume A*[3] is in the dominating
+// set because its weight is zero").
 
 // DominatingSet returns a minimum-weight dominating set of g (minimum
 // cardinality when g is unweighted). For the G²-MDS problem callers pass
 // g.Square().
 func DominatingSet(g *graph.Graph) *bitset.Set {
-	s, err := DominatingSetBounded(g, 0)
-	if err != nil {
-		panic("exact: unreachable: unbounded search returned error")
-	}
+	s, _ := DominatingSetCounted(g)
 	return s
 }
 
 // DominatingSetCounted is DominatingSet plus the number of branch-and-bound
 // nodes the search expanded — the observability counter behind
-// kernel.Report.SearchNodes. The returned set is bit-identical with
-// DominatingSet's.
+// kernel.Report.SearchNodes.
 func DominatingSetCounted(g *graph.Graph) (*bitset.Set, int64) {
 	s, nodes, err := dominatingSetBounded(g, 0)
 	if err != nil {
@@ -32,233 +33,41 @@ func DominatingSetCounted(g *graph.Graph) (*bitset.Set, int64) {
 }
 
 // DominatingSetBounded is DominatingSet with a branch-and-bound node budget;
-// maxNodes == 0 means unlimited.
+// maxNodes == 0 means unlimited. On budget exhaustion it returns
+// ErrBudgetExceeded and no set.
 func DominatingSetBounded(g *graph.Graph, maxNodes int64) (*bitset.Set, error) {
 	s, _, err := dominatingSetBounded(g, maxNodes)
 	return s, err
 }
 
 func dominatingSetBounded(g *graph.Graph, maxNodes int64) (*bitset.Set, int64, error) {
+	chosen, nodes, err := SetCoverBounded(closedNeighborhoods(g), maxNodes)
+	if err != nil {
+		return nil, nodes, err
+	}
+	return bitset.FromIndices(g.N(), chosen...), nodes, nil
+}
+
+// closedNeighborhoods is the set-cover instance of dominating set on g.
+func closedNeighborhoods(g *graph.Graph) *SetCoverInstance {
 	n := g.N()
-	s := &dsSolver{
-		g:        g,
-		n:        n,
-		closed:   make([]*bitset.Set, n),
-		maxNodes: maxNodes,
-		bestCost: math.MaxInt64,
+	in := &SetCoverInstance{UniverseSize: n, Sets: make([]*bitset.Set, n)}
+	if g.Weighted() {
+		in.Weights = make([]int64, n)
 	}
 	for v := 0; v < n; v++ {
-		s.closed[v] = g.ClosedNeighborhood(v)
-	}
-	// Initial incumbent from the greedy heuristic (always feasible).
-	init := GreedyDominatingSet(g)
-	s.bestSet = init
-	s.bestCost = g.SetWeightOf(init)
-
-	// minWeight feeds the lower bound; zero-weight vertices are committed
-	// upfront (below) and never branch, so only positive weights matter.
-	s.minWeight = math.MaxInt64
-	for v := 0; v < n; v++ {
-		if w := g.Weight(v); w > 0 && w < s.minWeight {
-			s.minWeight = w
+		in.Sets[v] = g.ClosedNeighborhood(v)
+		if in.Weights != nil {
+			in.Weights[v] = g.Weight(v)
 		}
 	}
-	if s.minWeight == math.MaxInt64 {
-		s.minWeight = 0
-	}
-
-	dominated := bitset.New(n)
-	available := bitset.Full(n)
-	cur := bitset.New(n)
-	// Zero-weight vertices dominate for free: committing them upfront can
-	// only help (the gadget constructions of Section 7 rely on this, cf.
-	// Lemma 36's "we can assume A*[3] is in the dominating set because its
-	// weight is zero").
-	for v := 0; v < n; v++ {
-		if g.Weight(v) == 0 {
-			cur.Add(v)
-			dominated.Or(s.closed[v])
-			available.Remove(v)
-		}
-	}
-	if err := s.solve(dominated, available, cur, 0); err != nil {
-		return nil, s.nodes, err
-	}
-	return s.bestSet, s.nodes, nil
-}
-
-type dsSolver struct {
-	g         *graph.Graph
-	n         int
-	closed    []*bitset.Set // closed[v] = N[v]
-	bestSet   *bitset.Set
-	bestCost  int64
-	minWeight int64
-	nodes     int64
-	maxNodes  int64
-}
-
-// lowerBound combines two admissible bounds and takes the larger:
-//
-//   - density: each chosen vertex newly dominates at most maxCover
-//     vertices, so ⌈remaining/maxCover⌉·minWeight more weight is needed;
-//   - packing: undominated vertices whose available-dominator sets are
-//     pairwise disjoint each require a distinct dominator, costing at
-//     least the cheapest vertex in their own dominator set. This bound is
-//     what makes the Section 7 gadget squares tractable — every dangling
-//     path leaf contributes a disjoint {P3,P4,P5} dominator set.
-func (s *dsSolver) lowerBound(dominated, available *bitset.Set) int64 {
-	remaining := s.n - dominated.Count()
-	if remaining == 0 {
-		return 0
-	}
-	maxCover := 0
-	for v := available.First(); v != -1; v = available.NextAfter(v) {
-		if c := s.closed[v].Count() - s.closed[v].IntersectionCount(dominated); c > maxCover {
-			maxCover = c
-		}
-	}
-	if maxCover == 0 {
-		return math.MaxInt64 / 4 // infeasible from here
-	}
-	need := (remaining + maxCover - 1) / maxCover
-	density := int64(need) * s.minWeight
-
-	marked := bitset.New(s.n)
-	var packing int64
-	for v := 0; v < s.n; v++ {
-		if dominated.Contains(v) {
-			continue
-		}
-		doms := s.closed[v].Intersect(available)
-		if doms.Empty() {
-			return math.MaxInt64 / 4
-		}
-		if doms.Intersects(marked) {
-			continue
-		}
-		cheapest := int64(math.MaxInt64)
-		doms.ForEach(func(d int) bool {
-			if w := s.g.Weight(d); w < cheapest {
-				cheapest = w
-			}
-			return true
-		})
-		packing += cheapest
-		marked.Or(doms)
-	}
-	if packing > density {
-		return packing
-	}
-	return density
-}
-
-func (s *dsSolver) solve(dominated, available, cur *bitset.Set, cost int64) error {
-	s.nodes++
-	if s.maxNodes > 0 && s.nodes > s.maxNodes {
-		return ErrBudgetExceeded
-	}
-	if cost >= s.bestCost {
-		return nil
-	}
-	if dominated.Count() == s.n {
-		s.bestCost = cost
-		s.bestSet = cur.Clone()
-		return nil
-	}
-	if cost+s.lowerBound(dominated, available) >= s.bestCost {
-		return nil
-	}
-
-	// Branch on the undominated vertex with the fewest available dominators
-	// (its closed neighborhood intersected with available): small branching
-	// factor, and zero candidates prunes an infeasible subtree immediately.
-	pick, pickCount := -1, math.MaxInt32
-	for v := 0; v < s.n; v++ {
-		if dominated.Contains(v) {
-			continue
-		}
-		c := s.closed[v].IntersectionCount(available)
-		if c < pickCount {
-			pick, pickCount = v, c
-		}
-		if c == 0 {
-			break
-		}
-	}
-	if pickCount == 0 {
-		return nil // the picked vertex can never be dominated on this path
-	}
-
-	candidates := s.closed[pick].Intersect(available).Elements()
-	// Try high-coverage, low-weight candidates first so the incumbent
-	// improves early and pruning bites.
-	type cand struct {
-		v     int
-		gain  int
-		score float64
-	}
-	cs := make([]cand, 0, len(candidates))
-	for _, c := range candidates {
-		gain := s.closed[c].Count() - s.closed[c].IntersectionCount(dominated)
-		cs = append(cs, cand{v: c, gain: gain, score: float64(gain) / float64(s.g.Weight(c))})
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].score > cs[j].score })
-
-	// Inclusion/exclusion branching: child i includes cs[i].v and excludes
-	// cs[0..i-1].v, which partitions the solution space without duplicates.
-	excluded := make([]int, 0, len(cs))
-	for _, c := range cs {
-		d := dominated.Union(s.closed[c.v])
-		a := available.Clone()
-		a.Remove(c.v)
-		cur.Add(c.v)
-		err := s.solve(d, a, cur, cost+s.g.Weight(c.v))
-		cur.Remove(c.v)
-		if err != nil {
-			return err
-		}
-		available.Remove(c.v)
-		excluded = append(excluded, c.v)
-	}
-	for _, v := range excluded {
-		available.Add(v)
-	}
-	return nil
+	return in
 }
 
 // GreedyDominatingSet returns the classical greedy dominating set: repeatedly
 // take the vertex maximizing newly-dominated-count per unit weight. This is
 // the ln(Δ+1)-approximation baseline the paper's Theorem 28 is compared
-// against, and the initial incumbent for the exact solver.
+// against, and the initial incumbent of the exact search.
 func GreedyDominatingSet(g *graph.Graph) *bitset.Set {
-	n := g.N()
-	dominated := bitset.New(n)
-	out := bitset.New(n)
-	closed := make([]*bitset.Set, n)
-	for v := 0; v < n; v++ {
-		closed[v] = g.ClosedNeighborhood(v)
-	}
-	for dominated.Count() < n {
-		best, bestScore := -1, -1.0
-		for v := 0; v < n; v++ {
-			if out.Contains(v) {
-				continue
-			}
-			gain := closed[v].Count() - closed[v].IntersectionCount(dominated)
-			if gain == 0 {
-				continue
-			}
-			score := float64(gain) / float64(g.Weight(v))
-			if score > bestScore {
-				best, bestScore = v, score
-			}
-		}
-		if best == -1 {
-			break // unreachable for any graph: every undominated v has gain ≥ 1 via itself
-		}
-		out.Add(best)
-		dominated.Or(closed[best])
-	}
-	return out
+	return bitset.FromIndices(g.N(), GreedySetCover(closedNeighborhoods(g))...)
 }

@@ -14,7 +14,6 @@ package exact
 
 import (
 	"errors"
-	"math"
 
 	"powergraph/internal/bitset"
 	"powergraph/internal/graph"
@@ -27,85 +26,43 @@ var ErrBudgetExceeded = errors.New("exact: search budget exceeded")
 // VertexCover returns a minimum-weight vertex cover of g (minimum
 // cardinality when g is unweighted). The search is exhaustive.
 func VertexCover(g *graph.Graph) *bitset.Set {
-	s, err := VertexCoverBounded(g, 0)
+	s, _, err := VertexCoverBounded(g, 0, nil)
 	if err != nil {
 		panic("exact: unreachable: unbounded search returned error")
 	}
 	return s
 }
 
-// VertexCoverCounted is VertexCover plus the number of branch-and-bound
-// nodes the search expanded — the observability counter behind
-// kernel.Report.SearchNodes. The returned cover is bit-identical with
-// VertexCover's.
-func VertexCoverCounted(g *graph.Graph) (*bitset.Set, int64) {
-	s, nodes, err := vertexCoverSearch(g, 0, nil, false)
-	if err != nil {
-		panic("exact: unreachable: unbounded search returned error")
-	}
-	return s, nodes
-}
-
-// VertexCoverBounded is VertexCover with a branch-and-bound node budget;
-// maxNodes == 0 means unlimited. On budget exhaustion it returns
-// ErrBudgetExceeded and no solution.
-func VertexCoverBounded(g *graph.Graph, maxNodes int64) (*bitset.Set, error) {
-	return VertexCoverBoundedFrom(g, maxNodes, nil)
-}
-
-// VertexCoverBoundedFrom is VertexCoverBounded seeded with a feasible
-// incumbent cover (nil selects the trivial all-non-isolated-vertices
-// incumbent). A near-optimal seed — the kernelize-then-solve pipeline passes
-// its polynomial 2-approximation — lets the lower bounds prune from the
-// first node, which is often the difference between cracking a hard kernel
-// and exhausting the budget. The search still returns an exact optimum; the
-// seed itself is returned only when nothing strictly better exists.
-func VertexCoverBoundedFrom(g *graph.Graph, maxNodes int64, incumbent *bitset.Set) (*bitset.Set, error) {
-	s, _, err := vertexCoverSearch(g, maxNodes, incumbent, false)
-	return s, err
-}
-
-// VertexCoverBoundedSplit is VertexCoverBoundedFrom with in-search connected
-// component decomposition: whenever branching (plus reductions) disconnects
-// the active subproblem, each component is solved independently and the
-// optima are summed. On the band-and-junction structures that survive
-// kernelization of sparse power graphs, one junction branch splits the
-// instance into many short chains, turning an exponential search into a
-// near-linear one. Decomposition changes only tie-breaking among equal-cost
-// covers, so it lives behind its own entry point and the legacy
-// VertexCover/VertexCoverBounded outputs stay bit-identical.
+// VertexCoverBounded is VertexCover with a branch-and-bound node budget
+// (maxNodes == 0 means unlimited) and a feasible seed cover (nil selects
+// the trivial all-non-isolated-vertices incumbent). It also returns the
+// number of search nodes expanded — the observability counter behind
+// kernel.Report.SearchNodes.
 //
-// Unlike the legacy entry points, on budget exhaustion it returns the best
-// feasible cover found so far (never worse than the seed incumbent)
-// alongside ErrBudgetExceeded, so an interrupted search still pays out the
-// improvements it made.
-func VertexCoverBoundedSplit(g *graph.Graph, maxNodes int64, incumbent *bitset.Set) (*bitset.Set, error) {
-	s, _, err := vertexCoverSearch(g, maxNodes, incumbent, true)
-	return s, err
-}
-
-// VertexCoverBoundedSplitCounted is VertexCoverBoundedSplit plus the global
-// branch-and-bound node count (shared across the splitting search's
-// sub-solvers). On budget exhaustion the best-so-far cover is still
-// returned alongside the error, exactly like VertexCoverBoundedSplit.
-func VertexCoverBoundedSplitCounted(g *graph.Graph, maxNodes int64, incumbent *bitset.Set) (*bitset.Set, int64, error) {
-	return vertexCoverSearch(g, maxNodes, incumbent, true)
-}
-
-// vertexCoverSearch runs the branch and bound and additionally reports how
-// many search nodes it expanded (the budget counter, global across split
-// sub-solvers).
-func vertexCoverSearch(g *graph.Graph, maxNodes int64, incumbent *bitset.Set, split bool) (*bitset.Set, int64, error) {
+// A near-optimal seed — the kernelize-then-solve pipeline passes its
+// polynomial 2-approximation — lets the lower bounds prune from the first
+// node, which is often the difference between cracking a hard kernel and
+// exhausting the budget. The search still returns an exact optimum; the
+// seed itself is returned only when nothing strictly better exists. On
+// budget exhaustion it returns the best feasible cover found so far (never
+// worse than the seed) alongside ErrBudgetExceeded, so an interrupted
+// search still pays out the improvements it made. The seed is never
+// written to.
+//
+// Whenever branching (plus reductions) disconnects the active subproblem,
+// each component is solved independently and the optima are summed. On the
+// band-and-junction structures that survive kernelization of sparse power
+// graphs, one junction branch splits the instance into many short chains,
+// turning an exponential search into a near-linear one.
+func VertexCoverBounded(g *graph.Graph, maxNodes int64, incumbent *bitset.Set) (*bitset.Set, int64, error) {
 	n := g.N()
 	s := &vcSolver{
-		g:        g,
-		n:        n,
-		budget:   vcBudget{max: maxNodes},
-		split:    split,
-		bestCost: math.MaxInt64,
-		nv:       bitset.New(n),
-		avail:    bitset.New(n),
-		common:   bitset.New(n),
+		g:      g,
+		n:      n,
+		budget: vcBudget{max: maxNodes},
+		nv:     bitset.New(n),
+		avail:  bitset.New(n),
+		common: bitset.New(n),
 	}
 	init := incumbent
 	if init == nil {
@@ -122,18 +79,12 @@ func vertexCoverSearch(g *graph.Graph, maxNodes int64, incumbent *bitset.Set, sp
 
 	root := &vcFrame{active: bitset.Full(n), cover: bitset.New(n)}
 	s.frames = append(s.frames, root)
-	if err := s.solve(root.active, root.cover, 0, 0); err != nil {
-		if split {
-			// Best-so-far: feasible, and no worse than the seed incumbent.
-			return s.bestSet, s.budget.nodes, err
-		}
-		return nil, s.budget.nodes, err
-	}
-	return s.bestSet, s.budget.nodes, nil
+	err := s.solve(root.active, root.cover, 0, 0)
+	return s.bestSet, s.budget.nodes, err
 }
 
-// vcBudget is the search-node budget, shared across the sub-searches the
-// splitting search runs so the cap stays global.
+// vcBudget is the search-node budget, shared across the per-component
+// sub-searches so the cap stays global.
 type vcBudget struct {
 	nodes int64
 	max   int64
@@ -157,7 +108,6 @@ type vcSolver struct {
 	bestSet  *bitset.Set
 	bestCost int64
 	budget   vcBudget
-	split    bool
 
 	// frames[d] holds the sets of the subproblem at recursion depth d; a
 	// branch writes its child into frames[d+1], which the next branch of
@@ -224,14 +174,6 @@ func (s *vcSolver) matchingLB(active *bitset.Set) int64 {
 // every 1-hop neighborhood is a clique of Gʳ — this is nearly twice the
 // matching bound (k−1 versus ⌊k/2⌋ per clique of size k), which is what lets
 // the branch and bound crack the kernels of thousand-node leader instances.
-//
-// Both bounds are admissible, so taking their maximum never prunes a
-// strictly-improving leaf: the returned cover is bit-identical with or
-// without this bound — only the visited node count changes. It still runs
-// only on the splitting search (the kernelize-then-solve path), so the
-// legacy entry points keep their pre-kernel node counts exactly: the
-// leader-ceiling stress test relies on VertexCoverBounded exhausting the
-// same budgets it always exhausted.
 func (s *vcSolver) cliqueCoverLB(active *bitset.Set) int64 {
 	avail, common := s.avail, s.common
 	avail.CopyFrom(active)
@@ -256,17 +198,11 @@ func (s *vcSolver) cliqueCoverLB(active *bitset.Set) int64 {
 	return lb
 }
 
-// lowerBound is the matching bound, strengthened by the clique-cover bound
-// on the splitting search.
+// lowerBound is the larger of the matching and the clique-cover bound. Both
+// are admissible, so taking their maximum never prunes a strictly-improving
+// leaf.
 func (s *vcSolver) lowerBound(active *bitset.Set) int64 {
-	lb := s.matchingLB(active)
-	if !s.split {
-		return lb
-	}
-	if c := s.cliqueCoverLB(active); c > lb {
-		lb = c
-	}
-	return lb
+	return max(s.matchingLB(active), s.cliqueCoverLB(active))
 }
 
 // improve records cover (cost cost) as the new incumbent. cover is search
@@ -361,10 +297,8 @@ func (s *vcSolver) solve(active, cover *bitset.Set, cost int64, depth int) error
 		return nil
 	}
 
-	if s.split {
-		if done, err := s.solveSplit(active, cover, cost, depth); done || err != nil {
-			return err
-		}
+	if done, err := s.solveSplit(active, cover, cost, depth); done || err != nil {
+		return err
 	}
 
 	child := s.frame(depth + 1)

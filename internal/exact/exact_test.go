@@ -145,10 +145,10 @@ func TestVertexCoverOnSquares(t *testing.T) {
 func TestVertexCoverBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.GNP(40, 0.5, rng)
-	if _, err := VertexCoverBounded(g, 2); err != ErrBudgetExceeded {
+	if _, _, err := VertexCoverBounded(g, 2, nil); err != ErrBudgetExceeded {
 		t.Fatalf("err = %v, want budget exceeded", err)
 	}
-	if _, err := VertexCoverBounded(graph.Path(4), 0); err != nil {
+	if _, _, err := VertexCoverBounded(graph.Path(4), 0, nil); err != nil {
 		t.Fatalf("unlimited budget errored: %v", err)
 	}
 }

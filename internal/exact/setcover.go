@@ -25,11 +25,12 @@ func (in *SetCoverInstance) weight(i int) int64 {
 	return in.Weights[i]
 }
 
-// SetCover returns the indices of a minimum-weight cover, or nil if the
-// instance is infeasible (some element is in no set). The search is
-// exhaustive branch and bound.
+// SetCover returns the indices of a minimum-weight cover in increasing
+// order, or nil if the instance is infeasible (some element is in no set);
+// an empty universe yields an empty, non-nil cover. Every zero-weight set
+// is in the cover. The search is exhaustive branch and bound.
 func SetCover(in *SetCoverInstance) []int {
-	chosen, err := SetCoverBounded(in, 0)
+	chosen, _, err := SetCoverBounded(in, 0)
 	if err != nil {
 		panic("exact: unreachable: unbounded set cover returned error")
 	}
@@ -37,22 +38,12 @@ func SetCover(in *SetCoverInstance) []int {
 }
 
 // SetCoverBounded is SetCover with a branch-and-bound node budget
-// (0 = unlimited).
-func SetCoverBounded(in *SetCoverInstance, maxNodes int64) ([]int, error) {
-	chosen, _, err := setCoverBounded(in, maxNodes)
-	return chosen, err
-}
-
-// SetCoverBoundedCounted is SetCoverBounded plus the number of
-// branch-and-bound nodes the search expanded — the observability counter
-// behind kernel.Report.SearchNodes on the dominating-set path. The chosen
-// cover is bit-identical with SetCoverBounded's.
-func SetCoverBoundedCounted(in *SetCoverInstance, maxNodes int64) ([]int, int64, error) {
-	return setCoverBounded(in, maxNodes)
-}
-
-func setCoverBounded(in *SetCoverInstance, maxNodes int64) ([]int, int64, error) {
-	s := &scSolver{in: in, maxNodes: maxNodes, bestCost: math.MaxInt64}
+// (maxNodes == 0 means unlimited) that also returns the number of search
+// nodes expanded — the observability counter behind
+// kernel.Report.SearchNodes on the dominating-set path. On budget
+// exhaustion it returns ErrBudgetExceeded and no cover.
+func SetCoverBounded(in *SetCoverInstance, maxNodes int64) ([]int, int64, error) {
+	s := &scSolver{in: in, maxNodes: maxNodes}
 	s.coverers = make([][]int, in.UniverseSize)
 	for i, set := range in.Sets {
 		set.ForEach(func(e int) bool {
@@ -65,13 +56,11 @@ func setCoverBounded(in *SetCoverInstance, maxNodes int64) ([]int, int64, error)
 			return nil, 0, nil // infeasible: no set covers e
 		}
 	}
-	// Greedy incumbent.
-	if greedy := s.greedy(); greedy != nil {
-		s.best = greedy
-		s.bestCost = 0
-		for _, i := range greedy {
-			s.bestCost += in.weight(i)
-		}
+	// Greedy incumbent (feasible: every element has a coverer).
+	s.best = GreedySetCover(in)
+	s.bestCost = 0
+	for _, i := range s.best {
+		s.bestCost += in.weight(i)
 	}
 	s.minWeight = math.MaxInt64
 	for i := range in.Sets {
@@ -97,7 +86,8 @@ func setCoverBounded(in *SetCoverInstance, maxNodes int64) ([]int, int64, error)
 	if err := s.solve(covered, avail, nil, 0); err != nil {
 		return nil, s.nodes, err
 	}
-	out := append([]int(nil), s.zero...)
+	out := make([]int, 0, len(s.zero)+len(s.best))
+	out = append(out, s.zero...)
 	out = append(out, s.best...)
 	sort.Ints(out)
 	// Deduplicate (a zero set may also appear in the greedy incumbent).
@@ -121,17 +111,23 @@ type scSolver struct {
 	maxNodes  int64
 }
 
-func (s *scSolver) greedy() []int {
-	covered := bitset.New(s.in.UniverseSize)
-	var out []int
-	for covered.Count() < s.in.UniverseSize {
+// GreedySetCover returns the classical greedy cover: repeatedly take the
+// set with the most newly covered elements per unit weight (a zero-weight
+// set first), the lowest index among ties. It is the ln-approximation
+// baseline, the exact search's initial incumbent, and the kernel's fallback
+// when the search exhausts its budget. It returns nil if the instance is
+// infeasible.
+func GreedySetCover(in *SetCoverInstance) []int {
+	covered := bitset.New(in.UniverseSize)
+	out := []int{}
+	for covered.Count() < in.UniverseSize {
 		bestI, bestScore := -1, -1.0
-		for i, set := range s.in.Sets {
+		for i, set := range in.Sets {
 			gain := set.Count() - set.IntersectionCount(covered)
 			if gain == 0 {
 				continue
 			}
-			w := s.in.weight(i)
+			w := in.weight(i)
 			score := math.Inf(1)
 			if w > 0 {
 				score = float64(gain) / float64(w)
@@ -144,7 +140,7 @@ func (s *scSolver) greedy() []int {
 			return nil
 		}
 		out = append(out, bestI)
-		covered.Or(s.in.Sets[bestI])
+		covered.Or(in.Sets[bestI])
 	}
 	return out
 }

@@ -3,10 +3,8 @@ package exact
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"powergraph/internal/bitset"
-	"powergraph/internal/graph"
 )
 
 func instFromSets(universe int, sets ...[]int) *SetCoverInstance {
@@ -111,8 +109,8 @@ func TestSetCoverInfeasible(t *testing.T) {
 func TestSetCoverEmptyUniverse(t *testing.T) {
 	in := instFromSets(0)
 	chosen := SetCover(in)
-	if len(chosen) != 0 {
-		t.Fatalf("empty universe needs no sets, got %v", chosen)
+	if chosen == nil || len(chosen) != 0 {
+		t.Fatalf("empty universe needs no sets (and is feasible), got %#v", chosen)
 	}
 }
 
@@ -129,61 +127,14 @@ func TestSetCoverBudget(t *testing.T) {
 		}
 		in.Sets = append(in.Sets, s)
 	}
-	if _, err := SetCoverBounded(in, 1); err == nil {
+	if _, _, err := SetCoverBounded(in, 1); err == nil {
 		// Possible to solve at the root only if greedy was optimal AND the
 		// bound proves it; with random overlapping sets that is unlikely,
 		// but tolerate it by requiring a solve with a bigger budget to
 		// agree.
-		a, err := SetCoverBounded(in, 0)
+		a, _, err := SetCoverBounded(in, 0)
 		if err != nil || a == nil {
 			t.Fatalf("unlimited solve failed: %v", err)
 		}
-	}
-}
-
-func TestQuickSetCoverMatchesDominatingSet(t *testing.T) {
-	// MDS(g) is exactly set cover with closed neighborhoods: the two exact
-	// solvers must agree.
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(12)
-		g := graph.GNP(n, 0.3, rng)
-		in := &SetCoverInstance{UniverseSize: n}
-		for v := 0; v < n; v++ {
-			in.Sets = append(in.Sets, g.ClosedNeighborhood(v))
-		}
-		chosen := SetCover(in)
-		ds := DominatingSet(g)
-		return len(chosen) == ds.Count()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickWeightedSetCoverMatchesWeightedDS(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(10)
-		g := graph.WithRandomWeights(graph.GNP(n, 0.3, rng), 12, rng)
-		in := &SetCoverInstance{UniverseSize: n}
-		for v := 0; v < n; v++ {
-			in.Sets = append(in.Sets, g.ClosedNeighborhood(v))
-			in.Weights = append(in.Weights, g.Weight(v))
-		}
-		chosen := SetCover(in)
-		var scW int64
-		for _, i := range chosen {
-			scW += g.Weight(i)
-		}
-		var dsW int64
-		DominatingSet(g).ForEach(func(v int) bool {
-			dsW += g.Weight(v)
-			return true
-		})
-		return scW == dsW
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

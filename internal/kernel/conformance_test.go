@@ -18,10 +18,15 @@ import (
 // of exactly the brute-force optimal cost. Set membership may legitimately
 // differ (multiple optima); cost equality plus feasibility is the contract.
 
-// forceKernelPath makes every instance take the kernelization path with an
-// unlimited search budget, so the rules and the lift are what is under test.
+// kernelPathSolver makes every instance take the kernelization path, so
+// the rules and the lift are what is under test.
+func kernelPathSolver(cfg Config) *Solver {
+	return &Solver{cfg: cfg, kernelOnly: true}
+}
+
+// forceKernelPath is kernelPathSolver with an unlimited search budget.
 func forceKernelPath() *Solver {
-	return NewSolver(Config{DirectN: -1, MaxNodes: -1})
+	return kernelPathSolver(Config{MaxNodes: -1})
 }
 
 // conformanceInstances builds the instance families: index i of count drives
@@ -116,9 +121,10 @@ func TestKernelDominatingSetConformance(t *testing.T) {
 	}
 }
 
-// TestKernelMatchesLegacyExactOnSquares pins the pipeline against the legacy
-// solver on the instances that matter most here: squares of sparse graphs,
-// where the kernel rules fire heavily. Costs must agree exactly.
+// TestKernelMatchesLegacyExactOnSquares pins the pipeline against the exact
+// search on the raw instance, on the instances that matter most here:
+// squares of sparse graphs, where the kernel rules fire heavily. Costs must
+// agree exactly.
 func TestKernelMatchesLegacyExactOnSquares(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := forceKernelPath()
@@ -132,18 +138,17 @@ func TestKernelMatchesLegacyExactOnSquares(t *testing.T) {
 		cover, _ := s.VertexCover(sq)
 		want := sq.SetWeightOf(exact.VertexCover(sq))
 		if got := sq.SetWeightOf(cover); got != want {
-			t.Fatalf("square instance %d (n=%d): kernel cost %d, legacy exact %d", i, n, got, want)
+			t.Fatalf("square instance %d (n=%d): kernel cost %d, raw exact %d", i, n, got, want)
 		}
 	}
 }
 
 // TestKernelDirectPathBitCompatible proves the ladder's direct path returns
-// the exact solver's cover set (not merely its cost) below the DirectN
-// threshold — the property that keeps the golden r = 2 fixtures and the
-// engine-equivalence records byte-identical under the new default solver.
+// the exact search's cover set (not merely its cost) up to DirectN vertices
+// — the property that keeps the golden r = 2 fixtures byte-identical.
 func TestKernelDirectPathBitCompatible(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	s := NewSolver(Config{}) // default DirectN
+	s := NewSolver(Config{})
 	for i := 0; i < 40; i++ {
 		n := 4 + rng.Intn(40)
 		g := graph.ConnectedGNP(n, 0.2, rng)
@@ -152,10 +157,10 @@ func TestKernelDirectPathBitCompatible(t *testing.T) {
 		}
 		cover, rep := s.VertexCover(g)
 		if rep.Path != PathDirect {
-			t.Fatalf("n=%d: expected direct path below DirectN=%d, got %s", n, DefaultDirectN, rep.Path)
+			t.Fatalf("n=%d: expected direct path up to DirectN=%d, got %s", n, DirectN, rep.Path)
 		}
 		if want := exact.VertexCover(g); !cover.Equal(want) {
-			t.Fatalf("n=%d: direct path diverged from the legacy exact cover", n)
+			t.Fatalf("n=%d: direct path diverged from the exact cover", n)
 		}
 	}
 }
@@ -191,7 +196,7 @@ func TestKernelFallbackLadder(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := graph.ConnectedGNP(300, 8.0/300, rng) // dense-core square: rules barely fire
 	sq := g.Square()
-	cover, rep := NewSolver(Config{DirectN: -1, MaxNodes: 10}).VertexCover(sq)
+	cover, rep := kernelPathSolver(Config{MaxNodes: 10}).VertexCover(sq)
 	if rep.Path != PathKernelFallback || rep.Optimal {
 		t.Fatalf("expected non-optimal kernel-fallback path, got %+v", rep)
 	}
@@ -207,17 +212,14 @@ func TestKernelFallbackLadder(t *testing.T) {
 
 	// The interrupted search must pay out its best-so-far: the fallback can
 	// never be worse than the polynomial incumbent the search was seeded
-	// with (exact.VertexCoverBoundedSplit returns the incumbent-or-better
+	// with (exact.VertexCoverBounded returns the incumbent-or-better
 	// alongside ErrBudgetExceeded).
 	kernelized := kernelizeVC(sq, nil)
 	kg, _ := kernelized.kernelGraph()
 	seed := bestIncumbent(kg)
-	sol, err := exact.VertexCoverBoundedSplit(kg, 10, seed)
+	sol, _, err := exact.VertexCoverBounded(kg, 10, seed)
 	if err == nil {
 		t.Fatal("expected the 10-node budget to trip on the dense-core kernel")
-	}
-	if sol == nil {
-		t.Fatal("budget-tripped split search returned no best-so-far cover")
 	}
 	if ok, _ := verify.IsVertexCover(kg, sol); !ok {
 		t.Fatal("best-so-far cover infeasible")

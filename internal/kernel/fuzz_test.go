@@ -30,7 +30,7 @@ func FuzzKernelLiftFeasible(f *testing.F) {
 		g := decodeFuzzGraph(data)
 		// A tight budget keeps the fuzz fast and exercises the fallback arm
 		// as often as the exact one.
-		cover, rep := NewSolver(Config{DirectN: -1, MaxNodes: 400}).VertexCover(g)
+		cover, rep := kernelPathSolver(Config{MaxNodes: 400}).VertexCover(g)
 		if ok, witness := verify.IsVertexCover(g, cover); !ok {
 			t.Fatalf("lifted cover infeasible (edge %v uncovered) on n=%d m=%d", witness, g.N(), g.M())
 		}
@@ -49,16 +49,23 @@ func FuzzKernelLiftFeasible(f *testing.F) {
 	})
 }
 
-// FuzzVertexCoverSearch drives the exact branch and bound of internal/exact
-// directly (no kernelization) over arbitrary graph encodings:
+// FuzzVertexCoverSearch drives the exact branch-and-bound searches of
+// internal/exact directly (no kernelization) over arbitrary graph
+// encodings. The vertex-cover search
 //
-//   - the unbounded legacy and splitting searches return feasible covers of
-//     the brute-force optimum weight (n ≤ 14);
-//   - a repeated call returns the same cover and node count, so no scratch
-//     state leaks from one search into the next;
-//   - a 1-node budget trips whenever the search needs more than one node;
-//     the splitting search then still returns a feasible cover no worse
-//     than its seed, and never writes to the seed.
+//   - returns a feasible cover of the brute-force optimum weight (n ≤ 14);
+//   - returns the same cover and node count on a repeated call, so no
+//     scratch state leaks from one search into the next;
+//   - trips a 1-node budget whenever it needs more than one node, and then
+//     still returns a feasible cover no worse than its seed, never writing
+//     to the seed.
+//
+// The set-cover search, through the dominating-set entry points,
+//
+//   - returns a dominating set of the brute-force optimum weight (n ≤ 14);
+//   - returns the same set and node count on a repeated call;
+//   - trips a 1-node budget whenever it needs more than one node, and then
+//     returns no set.
 //
 // Run the short CI pass with `make fuzz-exact`.
 func FuzzVertexCoverSearch(f *testing.F) {
@@ -69,19 +76,7 @@ func FuzzVertexCoverSearch(f *testing.F) {
 	f.Add([]byte{20, 250, 3, 77, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeFuzzGraph(data)
-		var want int64 = -1
-		if g.N() <= 14 {
-			want = g.SetWeightOf(exact.BruteVertexCover(g))
-		}
-		check := func(name string, cover *bitset.Set) {
-			t.Helper()
-			if ok, witness := verify.IsVertexCover(g, cover); !ok {
-				t.Fatalf("%s: infeasible cover (edge %v uncovered) on n=%d m=%d", name, witness, g.N(), g.M())
-			}
-			if got := g.SetWeightOf(cover); want >= 0 && got != want {
-				t.Fatalf("%s: cost %d, brute optimum %d", name, got, want)
-			}
-		}
+		small := g.N() <= 14 // brute force stays fast
 		same := func(name string, a, b *bitset.Set, na, nb int64) {
 			t.Helper()
 			if !a.Equal(b) || na != nb {
@@ -89,43 +84,56 @@ func FuzzVertexCoverSearch(f *testing.F) {
 			}
 		}
 
-		legacy, legacyNodes := exact.VertexCoverCounted(g)
-		check("legacy", legacy)
-		again, againNodes := exact.VertexCoverCounted(g)
-		same("legacy", legacy, again, legacyNodes, againNodes)
-
-		split, splitNodes, err := exact.VertexCoverBoundedSplitCounted(g, 0, nil)
+		cover, nodes, err := exact.VertexCoverBounded(g, 0, nil)
 		if err != nil {
-			t.Fatalf("unbounded split search: %v", err)
+			t.Fatalf("unbounded search: %v", err)
 		}
-		check("split", split)
-		again, againNodes, _ = exact.VertexCoverBoundedSplitCounted(g, 0, nil)
-		same("split", split, again, splitNodes, againNodes)
-
-		tripped, err := exact.VertexCoverBounded(g, 1)
-		if legacyNodes > 1 {
-			if !errors.Is(err, exact.ErrBudgetExceeded) || tripped != nil {
-				t.Fatalf("legacy 1-node budget over %d nodes: cover %v, err %v", legacyNodes, tripped, err)
+		if ok, witness := verify.IsVertexCover(g, cover); !ok {
+			t.Fatalf("infeasible cover (edge %v uncovered) on n=%d m=%d", witness, g.N(), g.M())
+		}
+		if small {
+			if got, want := g.SetWeightOf(cover), g.SetWeightOf(exact.BruteVertexCover(g)); got != want {
+				t.Fatalf("cover cost %d, brute optimum %d", got, want)
 			}
-		} else if err != nil || !tripped.Equal(legacy) {
-			t.Fatalf("legacy 1-node search changed: cover %v, err %v", tripped, err)
 		}
+		again, againNodes, _ := exact.VertexCoverBounded(g, 0, nil)
+		same("vertex cover", cover, again, nodes, againNodes)
 
 		seed := bestIncumbent(g)
 		seedCopy := seed.Clone()
-		best, _, err := exact.VertexCoverBoundedSplitCounted(g, 1, seed)
+		best, _, err := exact.VertexCoverBounded(g, 1, seed)
 		if !seed.Equal(seedCopy) {
-			t.Fatalf("split search wrote to its seed: %v became %v", seedCopy, seed)
+			t.Fatalf("search wrote to its seed: %v became %v", seedCopy, seed)
 		}
 		if ok, witness := verify.IsVertexCover(g, best); !ok {
-			t.Fatalf("split 1-node best-so-far infeasible (edge %v uncovered)", witness)
+			t.Fatalf("1-node best-so-far infeasible (edge %v uncovered)", witness)
 		}
 		if got, limit := g.SetWeightOf(best), g.SetWeightOf(seed); got > limit {
-			t.Fatalf("split 1-node best-so-far cost %d worse than its seed %d", got, limit)
+			t.Fatalf("1-node best-so-far cost %d worse than its seed %d", got, limit)
 		}
-		_, seededNodes, _ := exact.VertexCoverBoundedSplitCounted(g, 0, seed)
+		_, seededNodes, _ := exact.VertexCoverBounded(g, 0, seed)
 		if seededNodes > 1 && !errors.Is(err, exact.ErrBudgetExceeded) {
-			t.Fatalf("split 1-node budget over %d nodes returned err %v", seededNodes, err)
+			t.Fatalf("1-node budget over %d nodes returned err %v", seededNodes, err)
+		}
+
+		ds, dsNodes := exact.DominatingSetCounted(g)
+		if ok, witness := verify.IsDominatingSet(g, ds); !ok {
+			t.Fatalf("vertex %d undominated on n=%d m=%d", witness, g.N(), g.M())
+		}
+		if small {
+			if got, want := g.SetWeightOf(ds), g.SetWeightOf(exact.BruteDominatingSet(g)); got != want {
+				t.Fatalf("dominating set cost %d, brute optimum %d", got, want)
+			}
+		}
+		againDS, againDSNodes := exact.DominatingSetCounted(g)
+		same("dominating set", ds, againDS, dsNodes, againDSNodes)
+		tripped, err := exact.DominatingSetBounded(g, 1)
+		if dsNodes > 1 {
+			if !errors.Is(err, exact.ErrBudgetExceeded) || tripped != nil {
+				t.Fatalf("1-node budget over %d nodes: set %v, err %v", dsNodes, tripped, err)
+			}
+		} else if err != nil || !tripped.Equal(ds) {
+			t.Fatalf("1-node dominating-set search changed: set %v, err %v", tripped, err)
 		}
 	})
 }

@@ -9,8 +9,8 @@
 // ("compute an optimal solution R* of the VC problem on H = G²[U]"). In
 // practice that assumption was the repo's scale ceiling: on sparse graphs the
 // randomized variants' candidacy threshold never fires, the leader receives
-// essentially all of G², and raw branch and bound cannot crack it at
-// n ≥ 500. Power-graph structure is exactly what classic kernelization
+// essentially all of G², and the branch and bound must search all of it.
+// Power-graph structure is exactly what classic kernelization
 // (Nemhauser–Trotter LP decomposition, degree folding, domination) exploits
 // best — squares of sparse graphs are triangle-rich and pendant-rich — so the
 // kernel routinely collapses thousand-node leader instances to a few dozen
@@ -18,10 +18,11 @@
 //
 // The solve ladder of a Solver is:
 //
-//  1. direct: instances with n ≤ Config.DirectN skip kernelization entirely
-//     and run the legacy unbounded exact solver, bit-for-bit compatible with
-//     the pre-kernel default (this is what keeps the golden r = 2 fixtures
-//     byte-identical);
+//  1. direct: instances with n ≤ DirectN skip kernelization entirely and
+//     run the unbounded exact search of internal/exact on the raw instance
+//     (this is what keeps the golden r = 2, r = 3/4 and step-reference
+//     fixtures byte-identical: kernelizing first would pick other optima
+//     among equal-cost ones);
 //  2. kernel-exact: reduction rules run to fixpoint (degree-0, zero-weight,
 //     weighted pendant, weighted domination, twin merge, weighted degree-2
 //     folding, Nemhauser–Trotter LP decomposition via max-flow on the
@@ -50,8 +51,8 @@ import (
 
 // Solve paths reported by Report.Path.
 const (
-	// PathDirect marks an instance small enough (n ≤ Config.DirectN) to be
-	// handed to the legacy unbounded exact solver without kernelization.
+	// PathDirect marks an instance small enough (n ≤ DirectN) to be handed
+	// to the unbounded exact search without kernelization.
 	PathDirect = "direct"
 	// PathKernelExact marks a kernelized instance whose kernel the
 	// branch-and-bound solver cracked within budget: the lifted solution is
@@ -64,32 +65,22 @@ const (
 	PathKernelFallback = "kernel-fallback"
 )
 
-// Default knob values; see Config.
 const (
-	DefaultDirectN  = 64
+	// DirectN is the largest n the ladder's direct rung solves: the
+	// unbounded exact search on the raw instance, without kernelization.
+	DirectN = 64
+	// DefaultMaxNodes is the default of Config.MaxNodes.
 	DefaultMaxNodes = 300_000
 )
 
 // Config tunes a Solver. The zero value selects the defaults used by the
 // distributed algorithms' Phase-II leaders.
 type Config struct {
-	// DirectN is the largest n solved by the legacy unbounded exact solver
-	// without kernelization (bit-compatible with the pre-kernel default
-	// leader solver). 0 selects DefaultDirectN; negative forces the kernel
-	// path for every instance (what the conformance and rule tests use).
-	DirectN int
 	// MaxNodes is the branch-and-bound search budget for the post-kernel
 	// exact solve. 0 selects DefaultMaxNodes; negative means unlimited —
 	// the solve is then always exact and never falls back, which is the
 	// configuration the harness oracle runs with.
 	MaxNodes int64
-}
-
-func (c Config) directN() int {
-	if c.DirectN == 0 {
-		return DefaultDirectN
-	}
-	return c.DirectN
 }
 
 func (c Config) maxNodes() int64 {
@@ -193,18 +184,26 @@ type Report struct {
 // concurrent calls.
 type Solver struct {
 	cfg Config
+	// kernelOnly skips the direct rung, so the rules and the lift are under
+	// test on every instance size.
+	kernelOnly bool
 }
 
 // NewSolver returns a Solver with the given knobs.
 func NewSolver(cfg Config) *Solver { return &Solver{cfg: cfg} }
 
+// direct reports whether g takes the direct rung.
+func (s *Solver) direct(g *graph.Graph) bool {
+	return !s.kernelOnly && g.N() <= DirectN
+}
+
 // VertexCover solves minimum (weighted) vertex cover on g through the
 // ladder, returning the cover and the solve report.
 func (s *Solver) VertexCover(g *graph.Graph) (*bitset.Set, Report) {
 	rep := Report{InputN: g.N(), InputM: g.M()}
-	if g.N() <= s.cfg.directN() {
+	if s.direct(g) {
 		start := time.Now()
-		cover, nodes := exact.VertexCoverCounted(g)
+		cover, nodes, _ := exact.VertexCoverBounded(g, 0, nil)
 		rep.SolveNS = time.Since(start).Nanoseconds()
 		rep.SearchNodes = nodes
 		rep.Path, rep.Optimal = PathDirect, true
@@ -222,24 +221,16 @@ func (s *Solver) VertexCover(g *graph.Graph) (*bitset.Set, Report) {
 	rep.KernelN, rep.KernelM = kg.N(), kg.M()
 	rep.LowerBound = k.offset + k.lpLowerBound()
 
-	var kernelCover *bitset.Set
-	incumbent := bestIncumbent(kg)
 	solveStart := time.Now()
-	sol, nodes, err := exact.VertexCoverBoundedSplitCounted(kg, s.cfg.maxNodes(), incumbent)
+	kernelCover, nodes, err := exact.VertexCoverBounded(kg, s.cfg.maxNodes(), bestIncumbent(kg))
 	rep.SolveNS = time.Since(solveStart).Nanoseconds()
 	rep.SearchNodes = nodes
-	if err == nil {
-		kernelCover = sol
-		rep.Path, rep.Optimal = PathKernelExact, true
-	} else {
+	rep.Path, rep.Optimal = PathKernelExact, true
+	if err != nil {
 		// Budget tripped: the search hands back its best-so-far cover,
 		// which is never worse than the polynomial incumbent it was seeded
 		// with — so the fallback keeps the local-ratio factor-2 guarantee
 		// and any improvement the interrupted search already paid for.
-		kernelCover = sol
-		if kernelCover == nil {
-			kernelCover = incumbent
-		}
 		rep.Path, rep.Optimal = PathKernelFallback, false
 	}
 	cover := k.lift(kernelCover, orig)
@@ -252,7 +243,7 @@ func (s *Solver) VertexCover(g *graph.Graph) (*bitset.Set, Report) {
 // neighborhoods), solved by branch and bound under the budget, and lifted.
 func (s *Solver) DominatingSet(g *graph.Graph) (*bitset.Set, Report) {
 	rep := Report{InputN: g.N(), InputM: g.M()}
-	if g.N() <= s.cfg.directN() {
+	if s.direct(g) {
 		start := time.Now()
 		ds, nodes := exact.DominatingSetCounted(g)
 		rep.SolveNS = time.Since(start).Nanoseconds()
@@ -272,16 +263,13 @@ func (s *Solver) DominatingSet(g *graph.Graph) (*bitset.Set, Report) {
 	rep.KernelN, rep.KernelM = len(setIDs), inst.UniverseSize
 	rep.LowerBound = k.offset + scPackingLowerBound(inst)
 
-	var chosen []int
 	solveStart := time.Now()
-	sol, nodes, scErr := exact.SetCoverBoundedCounted(inst, s.cfg.maxNodes())
+	chosen, nodes, err := exact.SetCoverBounded(inst, s.cfg.maxNodes())
 	rep.SolveNS = time.Since(solveStart).Nanoseconds()
 	rep.SearchNodes = nodes
-	if scErr == nil {
-		chosen = sol
-		rep.Path, rep.Optimal = PathKernelExact, true
-	} else {
-		chosen = greedySetCover(inst)
+	rep.Path, rep.Optimal = PathKernelExact, true
+	if err != nil {
+		chosen = exact.GreedySetCover(inst)
 		rep.Path, rep.Optimal = PathKernelFallback, false
 	}
 	ds := k.lift(chosen, setIDs)

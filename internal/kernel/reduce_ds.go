@@ -247,33 +247,3 @@ func scPackingLowerBound(inst *exact.SetCoverInstance) int64 {
 	}
 	return lb
 }
-
-// greedySetCover is the classical ln(Δ+1)-style greedy: repeatedly take the
-// set with the best newly-covered-per-weight ratio. The fallback when the
-// kernel exhausts the exact budget.
-func greedySetCover(inst *exact.SetCoverInstance) []int {
-	covered := bitset.New(inst.UniverseSize)
-	var out []int
-	for covered.Count() < inst.UniverseSize {
-		best, bestScore := -1, -1.0
-		for i, s := range inst.Sets {
-			gain := s.Count() - s.IntersectionCount(covered)
-			if gain == 0 {
-				continue
-			}
-			score := math.Inf(1)
-			if w := inst.Weights[i]; w > 0 {
-				score = float64(gain) / float64(w)
-			}
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		if best == -1 {
-			break // uncoverable element: cannot happen for DS instances
-		}
-		out = append(out, best)
-		covered.Or(inst.Sets[best])
-	}
-	return out
-}

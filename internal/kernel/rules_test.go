@@ -26,11 +26,7 @@ func liftedOptimal(t *testing.T, g *graph.Graph, name string) RuleCounts {
 	k := kernelizeVC(g, &counts)
 	assertDegrees(t, k, name)
 	kg, orig := k.kernelGraph()
-	sol, err := exact.VertexCoverBoundedSplit(kg, 0, nil)
-	if err != nil {
-		t.Fatalf("%s: kernel solve: %v", name, err)
-	}
-	cover := k.lift(sol, orig)
+	cover := k.lift(exact.VertexCover(kg), orig)
 	if ok, witness := verify.IsVertexCover(g, cover); !ok {
 		t.Fatalf("%s: lifted cover infeasible (edge %v uncovered)", name, witness)
 	}
@@ -241,11 +237,7 @@ func TestRulesRandomizedSafeness(t *testing.T) {
 		k := kernelizeVC(g, &counts)
 		assertDegrees(t, k, fmt.Sprintf("instance %d", i))
 		kg, orig := k.kernelGraph()
-		sol, err := exact.VertexCoverBoundedSplit(kg, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cover := k.lift(sol, orig)
+		cover := k.lift(exact.VertexCover(kg), orig)
 		if ok, _ := verify.IsVertexCover(g, cover); !ok {
 			t.Fatalf("instance %d: lifted cover infeasible", i)
 		}
@@ -281,11 +273,7 @@ func TestDSRulesSafeness(t *testing.T) {
 		var counts RuleCounts
 		k := kernelizeDS(g, &counts)
 		inst, setIDs := k.kernelInstance()
-		chosen, err := exact.SetCoverBounded(inst, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := k.lift(chosen, setIDs)
+		ds := k.lift(exact.SetCover(inst), setIDs)
 		if ok, _ := verify.IsDominatingSet(g, ds); !ok {
 			t.Fatalf("instance %d: lifted set not dominating", i)
 		}

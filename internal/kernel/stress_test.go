@@ -1,7 +1,7 @@
 package kernel_test
 
 import (
-	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -16,16 +16,24 @@ import (
 // The leader-ceiling regression stress test reproduces the ROADMAP failure
 // mode end to end: a sparse instance at n ≥ 500 whose degrees never reach
 // the randomized variants' candidacy threshold τ, so Phase I commits nothing
-// and the leader receives essentially all of G². The old default solver
-// (raw branch and bound) must report budget exhaustion on that instance; the
-// kernelize-then-solve ladder must crack it — exactly — under the same node
-// budget and a strict wall-clock guard, both standalone and inside the full
-// distributed run.
+// and the leader receives essentially all of G². The kernelize-then-solve
+// ladder must crack it — exactly — under a small node budget and a strict
+// wall-clock guard, both standalone and inside the full distributed run,
+// and it must expand no more search nodes than the raw branch and bound
+// (no kernelization) on the same instance.
 
-// stressBudget is deliberately small: the legacy solver burns through it in
-// well under a second, and the kernel path solves the whole instance without
-// spending a single search node on most seeds.
+// stressBudget is deliberately small: the kernel path solves the whole
+// instance in a few dozen search nodes at most.
 const stressBudget = 25_000
+
+// requireKernelNoHarder fails when the kernel path expanded more search
+// nodes than the raw search on sq.
+func requireKernelNoHarder(t *testing.T, name string, sq *graph.Graph, rep kernel.Report) {
+	t.Helper()
+	if _, raw, _ := exact.VertexCoverBounded(sq, stressBudget, nil); rep.SearchNodes > raw {
+		t.Errorf("%s: kernel path expanded %d search nodes, the raw search %d", name, rep.SearchNodes, raw)
+	}
+}
 
 // ceilingInstance is the pinned stress instance: a weighted random tree at
 // n = 1000. Weighted tree squares are the sharpest known split between the
@@ -50,12 +58,7 @@ func TestLeaderCeilingRegression(t *testing.T) {
 	}
 	sq := g.Square()
 
-	// The old default: raw branch and bound exhausts the budget.
-	if _, err := exact.VertexCoverBounded(sq, stressBudget); !errors.Is(err, exact.ErrBudgetExceeded) {
-		t.Fatalf("legacy exact solve was expected to exhaust %d nodes, got err=%v", stressBudget, err)
-	}
-
-	// The kernel ladder under the same node budget and a wall-clock guard.
+	// The kernel ladder under the node budget and a wall-clock guard.
 	start := time.Now()
 	cover, rep := kernel.NewSolver(kernel.Config{MaxNodes: stressBudget}).VertexCover(sq)
 	elapsed := time.Since(start)
@@ -72,6 +75,7 @@ func TestLeaderCeilingRegression(t *testing.T) {
 	if rep.Cost != optCost || rep.LowerBound > optCost {
 		t.Fatalf("inconsistent report %+v for cost %d", rep, optCost)
 	}
+	requireKernelNoHarder(t, "ceiling instance", sq, rep)
 
 	// The full distributed runs with the default (kernel) leader solver.
 	//
@@ -118,9 +122,8 @@ func TestLeaderCeilingRegression(t *testing.T) {
 }
 
 // TestLeaderCeilingAcrossSeeds widens the regression over more seeds and
-// sizes so the split cannot silently rot into a single lucky instance: the
-// kernel must stay sub-second exact while the legacy solver keeps
-// exhausting the budget.
+// sizes so it cannot silently rot into a single lucky instance: the kernel
+// path must stay exact and expand no more nodes than the raw search.
 func TestLeaderCeilingAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep in -short mode")
@@ -130,10 +133,8 @@ func TestLeaderCeilingAcrossSeeds(t *testing.T) {
 			g := graph.WithRandomWeights(graph.RandomTree(n, rand.New(rand.NewSource(seed))),
 				16, rand.New(rand.NewSource(seed+100)))
 			sq := g.Square()
-			if _, err := exact.VertexCoverBounded(sq, stressBudget); !errors.Is(err, exact.ErrBudgetExceeded) {
-				t.Errorf("n=%d seed=%d: legacy solve no longer exhausts the budget (err=%v)", n, seed, err)
-			}
 			cover, rep := kernel.NewSolver(kernel.Config{MaxNodes: stressBudget}).VertexCover(sq)
+			requireKernelNoHarder(t, fmt.Sprintf("n=%d seed=%d", n, seed), sq, rep)
 			if rep.Path != kernel.PathKernelExact {
 				t.Errorf("n=%d seed=%d: kernel path %s", n, seed, rep.Path)
 			}

@@ -10,16 +10,18 @@ import (
 	"reflect"
 	"testing"
 
-	"powergraph/internal/bitset"
 	"powergraph/internal/exact"
 	"powergraph/internal/graph"
 )
 
 // The search golden pins what the cover-level fixtures elsewhere do not:
-// the exact branch-and-bound node counts, where a budget trips, and which
-// best-so-far cover an interrupted split search pays out. Any change to the
-// search machinery (scratch reuse, bounds, reductions) must leave every
-// record byte-identical; a changed visit order shows up here first.
+// the exact branch-and-bound node counts of exact.VertexCoverBounded, where
+// a budget trips, and which best-so-far cover an interrupted search pays
+// out, plus the kernel.Solver report and cover at the default and at a
+// 200-node budget. Any change to the search machinery (scratch reuse,
+// bounds, reductions) must leave every record byte-identical; a changed
+// visit order shows up here first. The "split" and "splitTrip" keys name
+// the search by its component splitting.
 //
 // Regenerate with:
 //
@@ -32,23 +34,23 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/vc_search
 
 const vcSearchGoldenPath = "testdata/vc_search_golden.json"
 
-// vcSearchMaxUnboundedN caps the instances the unbounded entry points run
-// on: above it the legacy search on raw squares takes seconds to minutes,
-// so the n = 160 instances exercise only the budgeted entry points.
+// vcSearchMaxUnboundedN caps the instances the unbounded search and the
+// default Solver run on; the n = 160 instances pin only budgeted calls.
 const vcSearchMaxUnboundedN = 120
 
 // vcSearchBigBudget is the tripping budget used where no unbounded node
 // count is available to halve (the n = 160 instances).
 const vcSearchBigBudget = 1000
 
-// searchRun is one call of a counted entry point.
+// searchRun is one unbounded search call.
 type searchRun struct {
 	Cover string `json:"cover"`
 	Nodes int64  `json:"nodes"`
 }
 
-// tripRun is one budgeted call: the budget, the error it returned, and (on
-// the split path) the best-so-far cover and the node count at the trip.
+// tripRun is one budgeted call: the budget, the error it returned, the
+// cover it returned (the best-so-far cover after a trip) and the node count
+// at the trip.
 type tripRun struct {
 	Budget int64  `json:"budget"`
 	Err    string `json:"err,omitempty"`
@@ -63,13 +65,11 @@ type solverRun struct {
 	Cover  string `json:"cover"`
 }
 
-// vcSearchRecord is everything the golden pins for one instance. Entry
-// points that are skipped for the instance's size stay nil.
+// vcSearchRecord is everything the golden pins for one instance. Calls
+// that are skipped for the instance's size stay nil.
 type vcSearchRecord struct {
 	N           int        `json:"n"`
 	M           int        `json:"m"`
-	Legacy      *searchRun `json:"legacy,omitempty"`
-	LegacyTrip  tripRun    `json:"legacyTrip"`
 	Split       *searchRun `json:"split,omitempty"`
 	SplitTrip   tripRun    `json:"splitTrip"`
 	Solver      *solverRun `json:"solver,omitempty"`
@@ -102,49 +102,34 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// coverString renders a cover compactly ("{0 3 7}"); a nil cover (the
-// legacy bounded search after a trip) renders empty.
-func coverString(s *bitset.Set) string {
-	if s == nil {
-		return ""
-	}
-	return s.String()
-}
-
 func runSolver(cfg Config, g *graph.Graph) solverRun {
 	cover, rep := NewSolver(cfg).VertexCover(g)
-	return solverRun{Report: rep, Cover: coverString(cover)}
+	return solverRun{Report: rep, Cover: cover.String()}
 }
 
-// vcSearchRecordOf runs every pinned entry point on g.
+// vcSearchRecordOf runs every pinned call on g.
 func vcSearchRecordOf(t *testing.T, g *graph.Graph) vcSearchRecord {
 	t.Helper()
 	rec := vcSearchRecord{N: g.N(), M: g.M()}
-	legacyBudget, splitBudget := int64(vcSearchBigBudget), int64(vcSearchBigBudget)
+	budget := int64(vcSearchBigBudget)
 	if g.N() <= vcSearchMaxUnboundedN {
-		cover, nodes := exact.VertexCoverCounted(g)
-		rec.Legacy = &searchRun{Cover: coverString(cover), Nodes: nodes}
-		legacyBudget = nodes / 2
-		cover, nodes, err := exact.VertexCoverBoundedSplitCounted(g, 0, nil)
+		cover, nodes, err := exact.VertexCoverBounded(g, 0, nil)
 		if err != nil {
-			t.Fatalf("unbounded split search: %v", err)
+			t.Fatalf("unbounded search: %v", err)
 		}
-		rec.Split = &searchRun{Cover: coverString(cover), Nodes: nodes}
-		splitBudget = nodes / 2
+		rec.Split = &searchRun{Cover: cover.String(), Nodes: nodes}
+		budget = max(nodes/2, 1)
 		s := runSolver(Config{}, g)
 		rec.Solver = &s
 	}
-	legacyBudget, splitBudget = max(legacyBudget, 1), max(splitBudget, 1)
 
-	cover, err := exact.VertexCoverBounded(g, legacyBudget)
-	rec.LegacyTrip = tripRun{Budget: legacyBudget, Err: errString(err), Cover: coverString(cover)}
-	cover, nodes, err := exact.VertexCoverBoundedSplitCounted(g, splitBudget, nil)
-	rec.SplitTrip = tripRun{Budget: splitBudget, Err: errString(err), Cover: coverString(cover), Nodes: nodes}
+	cover, nodes, err := exact.VertexCoverBounded(g, budget, nil)
+	rec.SplitTrip = tripRun{Budget: budget, Err: errString(err), Cover: cover.String(), Nodes: nodes}
 	rec.SolverSmall = runSolver(Config{MaxNodes: 200}, g)
 	return rec
 }
 
-// TestVCSearchGolden replays every pinned entry point on the corpus and
+// TestVCSearchGolden replays every pinned call on the corpus and
 // compares against testdata/vc_search_golden.json.
 func TestVCSearchGolden(t *testing.T) {
 	got := make(map[string]vcSearchRecord)

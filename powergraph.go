@@ -105,8 +105,8 @@ type (
 	FiveThirdsResult = centralized.FiveThirdsResult
 	// Ratio reports solution cost against a reference optimum.
 	Ratio = verify.Ratio
-	// KernelConfig tunes the kernelize-then-solve ladder (direct-solve
-	// threshold, branch-and-bound budget).
+	// KernelConfig tunes the kernelize-then-solve ladder (its
+	// branch-and-bound budget).
 	KernelConfig = kernel.Config
 	// KernelReport describes one kernelize-then-solve run: path taken,
 	// kernel size, committed cost, lower bound, rule tallies. Distributed
@@ -261,15 +261,19 @@ func GreedyMDS(g *Graph) *VertexSet { return exact.GreedyDominatingSet(g) }
 // ExactVC returns a minimum-weight vertex cover of g.
 func ExactVC(g *Graph) *VertexSet { return exact.VertexCover(g) }
 
-// ExactVCBounded is ExactVC with a search-node budget (0 = unlimited).
+// ExactVCBounded is ExactVC with a search-node budget (0 = unlimited). On
+// budget exhaustion it returns the best cover found so far alongside the
+// error: feasible, but not necessarily minimum.
 func ExactVCBounded(g *Graph, maxNodes int64) (*VertexSet, error) {
-	return exact.VertexCoverBounded(g, maxNodes)
+	s, _, err := exact.VertexCoverBounded(g, maxNodes, nil)
+	return s, err
 }
 
 // ExactDS returns a minimum-weight dominating set of g.
 func ExactDS(g *Graph) *VertexSet { return exact.DominatingSet(g) }
 
-// ExactDSBounded is ExactDS with a search-node budget (0 = unlimited).
+// ExactDSBounded is ExactDS with a search-node budget (0 = unlimited). On
+// budget exhaustion it returns the error and no set.
 func ExactDSBounded(g *Graph, maxNodes int64) (*VertexSet, error) {
 	return exact.DominatingSetBounded(g, maxNodes)
 }
@@ -278,9 +282,10 @@ func ExactDSBounded(g *Graph, maxNodes int64) (*VertexSet, error) {
 // ARCHITECTURE.md, "Leader-solve pipeline").
 
 // KernelVC solves minimum (weighted) vertex cover through the
-// kernelize-then-solve ladder with an unlimited search budget: reduction
-// rules shrink the instance to its hard core before the exact search, which
-// cracks sparse power-graph instances the raw branch and bound cannot.
+// kernelize-then-solve ladder with an unlimited search budget: above 64
+// vertices, reduction rules shrink the instance to its hard core before
+// the exact search runs on it, so sparse power graphs with thousands of
+// vertices need only a handful of search nodes.
 func KernelVC(g *Graph) *VertexSet { return kernel.VertexCover(g) }
 
 // KernelMDS is KernelVC for minimum (weighted) dominating set.
