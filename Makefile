@@ -195,12 +195,10 @@ trace-smoke:
 # BENCH_*.json that a tracked *.md, Go file or this Makefile cites by bare
 # name must be in the tree (names under a directory, like
 # bench-out/BENCH_x.json, are run outputs and are skipped); and every *.md
-# cited by a Go file, this Makefile, a *.md below the root, or a root
-# document in DOCS_CHECK_MD must exist, relative to the repository root or
-# to the citing file. Root files left out of DOCS_CHECK_MD, such as
-# CHANGES.md (a history log), name files that are gone on purpose.
-DOCS_CHECK_MD ?= README.md ARCHITECTURE.md ROADMAP.md PAPER.md PAPERS.md SNIPPETS.md
-
+# those files cite must exist, relative to the repository root or to the
+# citing file. CHANGES.md (a history log) and ISSUE.md (the open work
+# request) name files that are gone on purpose and are not checked for
+# *.md citations.
 docs-check:
 	@fail=0; \
 	for d in internal/*/ internal/congest/primitives/; do \
@@ -215,7 +213,7 @@ docs-check:
 			echo "docs-check: $$f is cited but not in the tree"; fail=1; \
 		fi; \
 	done; \
-	for src in $$(git ls-files '*.go' Makefile '*/*.md') $(DOCS_CHECK_MD); do \
+	for src in $$(git ls-files '*.md' '*.go' Makefile | grep -vxE 'CHANGES.md|ISSUE.md'); do \
 		for f in $$(grep -oE '(^|[^A-Za-z0-9_./-])[A-Za-z0-9_.-][A-Za-z0-9_./-]*\.md([^A-Za-z0-9_]|$$)' $$src | \
 			sed -E 's/^[^A-Za-z0-9_.-]//; s/[^A-Za-z0-9_]$$//' | sort -u); do \
 			if [ ! -f $$f ] && [ ! -f $$(dirname $$src)/$$f ]; then \
