@@ -43,14 +43,7 @@ func SetCover(in *SetCoverInstance) []int {
 // kernel.Report.SearchNodes on the dominating-set path. On budget
 // exhaustion it returns ErrBudgetExceeded and no cover.
 func SetCoverBounded(in *SetCoverInstance, maxNodes int64) ([]int, int64, error) {
-	s := &scSolver{in: in, maxNodes: maxNodes}
-	s.coverers = make([][]int, in.UniverseSize)
-	for i, set := range in.Sets {
-		set.ForEach(func(e int) bool {
-			s.coverers[e] = append(s.coverers[e], i)
-			return true
-		})
-	}
+	s := &scSolver{in: in, maxNodes: maxNodes, coverers: coverersOf(in)}
 	for e := 0; e < in.UniverseSize; e++ {
 		if len(s.coverers[e]) == 0 {
 			return nil, 0, nil // infeasible: no set covers e
@@ -98,6 +91,31 @@ func SetCoverBounded(in *SetCoverInstance, maxNodes int64) ([]int, int64, error)
 		}
 	}
 	return dedup, s.nodes, nil
+}
+
+// coverersOf lists, per element, the indices of the sets containing it in
+// increasing order.
+func coverersOf(in *SetCoverInstance) [][]int {
+	coverers := make([][]int, in.UniverseSize)
+	for i, set := range in.Sets {
+		set.ForEach(func(e int) bool {
+			coverers[e] = append(coverers[e], i)
+			return true
+		})
+	}
+	return coverers
+}
+
+// SetCoverPackingBound is the search's element-packing lower bound on the
+// whole instance: elements whose coverer collections are pairwise disjoint
+// each need their own set, costing at least their cheapest coverer. It
+// returns math.MaxInt64/4 if some element is in no set.
+func SetCoverPackingBound(in *SetCoverInstance) int64 {
+	avail := bitset.New(len(in.Sets))
+	for i := range in.Sets {
+		avail.Add(i)
+	}
+	return packingBound(in, coverersOf(in), bitset.New(in.UniverseSize), avail)
 }
 
 type scSolver struct {
@@ -165,16 +183,27 @@ func (s *scSolver) lowerBound(covered, avail *bitset.Set) int64 {
 	need := (remaining + maxCover - 1) / maxCover
 	density := int64(need) * s.minWeight
 
-	marked := bitset.New(len(s.in.Sets))
+	packing := packingBound(s.in, s.coverers, covered, avail)
+	if packing > density {
+		return packing
+	}
+	return density
+}
+
+// packingBound is the element-packing bound over the uncovered elements,
+// counting only the sets in avail; math.MaxInt64/4 if some uncovered element
+// has no available coverer.
+func packingBound(in *SetCoverInstance, coverers [][]int, covered, avail *bitset.Set) int64 {
+	marked := bitset.New(len(in.Sets))
 	var packing int64
-	for e := 0; e < s.in.UniverseSize; e++ {
+	for e := 0; e < in.UniverseSize; e++ {
 		if covered.Contains(e) {
 			continue
 		}
 		disjoint := true
 		cheapest := int64(math.MaxInt64)
 		anyAvail := false
-		for _, i := range s.coverers[e] {
+		for _, i := range coverers[e] {
 			if !avail.Contains(i) {
 				continue
 			}
@@ -183,7 +212,7 @@ func (s *scSolver) lowerBound(covered, avail *bitset.Set) int64 {
 				disjoint = false
 				break
 			}
-			if w := s.in.weight(i); w < cheapest {
+			if w := in.weight(i); w < cheapest {
 				cheapest = w
 			}
 		}
@@ -194,16 +223,13 @@ func (s *scSolver) lowerBound(covered, avail *bitset.Set) int64 {
 			continue
 		}
 		packing += cheapest
-		for _, i := range s.coverers[e] {
+		for _, i := range coverers[e] {
 			if avail.Contains(i) {
 				marked.Add(i)
 			}
 		}
 	}
-	if packing > density {
-		return packing
-	}
-	return density
+	return packing
 }
 
 func (s *scSolver) solve(covered, avail *bitset.Set, cur []int, cost int64) error {

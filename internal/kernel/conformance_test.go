@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"powergraph/internal/bitset"
@@ -145,10 +147,41 @@ func TestKernelMatchesLegacyExactOnSquares(t *testing.T) {
 
 // TestKernelDirectPathBitCompatible proves the ladder's direct path returns
 // the exact search's cover set (not merely its cost) up to DirectN vertices
-// — the property that keeps the golden r = 2 fixtures byte-identical.
+// — the property that keeps the golden r = 2 fixtures byte-identical. On
+// every vc_search_golden.json instance that small, the default Solver's
+// cover must equal the record's pinned unbounded-search ("split") cover;
+// on random instances the rung must be taken and return a feasible optimum
+// that costs the same as the kernel path.
 func TestKernelDirectPathBitCompatible(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
+	raw, err := os.ReadFile(vcSearchGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]vcSearchRecord
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
 	s := NewSolver(Config{})
+	pinned := 0
+	for name, g := range vcSearchCorpus() {
+		rec, ok := golden[name]
+		if g.N() > DirectN || !ok || rec.Split == nil {
+			continue
+		}
+		pinned++
+		cover, rep := s.VertexCover(g)
+		if rep.Path != PathDirect {
+			t.Fatalf("%s: expected the direct path, got %s", name, rep.Path)
+		}
+		if got := cover.String(); got != rec.Split.Cover {
+			t.Fatalf("%s: direct path cover %s, pinned search cover %s", name, got, rec.Split.Cover)
+		}
+	}
+	if pinned == 0 {
+		t.Fatal("no golden instance with n <= DirectN")
+	}
+
+	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 40; i++ {
 		n := 4 + rng.Intn(40)
 		g := graph.ConnectedGNP(n, 0.2, rng)
@@ -156,11 +189,15 @@ func TestKernelDirectPathBitCompatible(t *testing.T) {
 			g = graph.WithRandomWeights(g, 9, rng)
 		}
 		cover, rep := s.VertexCover(g)
-		if rep.Path != PathDirect {
-			t.Fatalf("n=%d: expected direct path up to DirectN=%d, got %s", n, DirectN, rep.Path)
+		if rep.Path != PathDirect || !rep.Optimal {
+			t.Fatalf("n=%d: expected an optimal direct path up to DirectN=%d, got %s (optimal %v)", n, DirectN, rep.Path, rep.Optimal)
 		}
-		if want := exact.VertexCover(g); !cover.Equal(want) {
-			t.Fatalf("n=%d: direct path diverged from the exact cover", n)
+		if ok, witness := verify.IsVertexCover(g, cover); !ok {
+			t.Fatalf("n=%d: direct path cover misses edge %v", n, witness)
+		}
+		kcover, _ := forceKernelPath().VertexCover(g)
+		if got, want := g.SetWeightOf(cover), g.SetWeightOf(kcover); got != want {
+			t.Fatalf("n=%d: direct path cost %d, kernel path cost %d", n, got, want)
 		}
 	}
 }

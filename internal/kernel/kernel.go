@@ -261,7 +261,7 @@ func (s *Solver) DominatingSet(g *graph.Graph) (*bitset.Set, Report) {
 	rep.ForcedCost = k.offset
 	inst, setIDs := k.kernelInstance()
 	rep.KernelN, rep.KernelM = len(setIDs), inst.UniverseSize
-	rep.LowerBound = k.offset + scPackingLowerBound(inst)
+	rep.LowerBound = k.offset + exact.SetCoverPackingBound(inst)
 
 	solveStart := time.Now()
 	chosen, nodes, err := exact.SetCoverBounded(inst, s.cfg.maxNodes())

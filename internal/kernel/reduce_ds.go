@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"math"
-
 	"powergraph/internal/bitset"
 	"powergraph/internal/exact"
 	"powergraph/internal/graph"
@@ -212,38 +210,4 @@ func (k *dsKernel) lift(chosen []int, setIDs []int) *bitset.Set {
 		ds.Add(setIDs[i])
 	}
 	return ds
-}
-
-// scPackingLowerBound is the element-packing bound: elements with pairwise
-// disjoint coverer collections each need their own set, costing at least the
-// cheapest of their own coverers.
-func scPackingLowerBound(inst *exact.SetCoverInstance) int64 {
-	marked := bitset.New(len(inst.Sets))
-	var lb int64
-	for e := 0; e < inst.UniverseSize; e++ {
-		disjoint := true
-		cheapest := int64(math.MaxInt64)
-		var mine []int
-		for i, s := range inst.Sets {
-			if !s.Contains(e) {
-				continue
-			}
-			if marked.Contains(i) {
-				disjoint = false
-				break
-			}
-			if w := inst.Weights[i]; w < cheapest {
-				cheapest = w
-			}
-			mine = append(mine, i)
-		}
-		if !disjoint || len(mine) == 0 {
-			continue
-		}
-		lb += cheapest
-		for _, i := range mine {
-			marked.Add(i)
-		}
-	}
-	return lb
 }
