@@ -12,8 +12,8 @@ import (
 // same full-exchange workload as BenchmarkEngineModes): "off" is the
 // zero-cost-when-disabled baseline (nil Tracer — every emission site pays
 // one branch and nothing else), "spans" a span-only collector (rounds not
-// subscribed, so the per-round inbox walk is skipped), "rounds" the full
-// per-round accounting. Run it with `make bench-obs` and compare "off"
+// subscribed, so no round event is built), "rounds" a collector that also
+// takes every per-round event. Run it with `make bench-obs` and compare "off"
 // against `make bench-engine`: the contract is <2% and zero added
 // allocations, enforced by TestDisabledTracerAddsNoAllocations below.
 func BenchmarkObs(b *testing.B) {
@@ -32,7 +32,7 @@ func BenchmarkObs(b *testing.B) {
 		for _, tc := range tracers {
 			b.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := runExchange(Config{Graph: g, Tracer: tc.mk()}, rounds, w); err != nil {
+					if _, err := runExchange(Config{Graph: g, Tracer: tc.mk()}, rounds, w, false); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -46,8 +46,8 @@ func BenchmarkObs(b *testing.B) {
 // mechanically: attaching a span-only collector to a run that emits no
 // spans must cost (to within the collector's own one-off lazy state) zero
 // allocations over the nil-tracer run — i.e. the emission sites allocate
-// nothing themselves; event structs stay on the stack and the per-round
-// inbox walk only runs for rounds-subscribed tracers. The <2% overhead
+// nothing themselves; event structs stay on the stack and round events are
+// only built for rounds-subscribed tracers. The <2% overhead
 // figure is the benchmark pair `make bench-obs` ("off") vs
 // `make bench-engine`.
 func TestDisabledTracerAddsNoAllocations(t *testing.T) {
@@ -56,7 +56,7 @@ func TestDisabledTracerAddsNoAllocations(t *testing.T) {
 	w := IDBits(64)
 	run := func(tr obs.Tracer) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := runExchange(Config{Graph: g, Tracer: tr}, rounds, w); err != nil {
+			if _, err := runExchange(Config{Graph: g, Tracer: tr}, rounds, w, false); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -8,22 +8,44 @@ import (
 )
 
 // BenchmarkEngineModes prices the engine on the simulator's canonical hot
-// loop: R rounds of full neighbor exchange by a step program. This isolates
-// engine overhead — stepping, outbox/inbox management, delivery — from
-// algorithm-local work. Run it with `make bench-engine`.
+// loops, R rounds each, isolating engine overhead — stepping, outboxes,
+// delivery — from algorithm-local work:
+//
+//   - program: full neighbor exchange (every node broadcasts to its
+//     G-neighbors every round) on G(n, 8/n);
+//   - clique: every node broadcasts to all n−1 others (CONGESTED CLIQUE),
+//     so a node-round delivers n−1 messages; run at n ≤ 1024 only, since
+//     one round's inbox holds n(n−1) messages;
+//   - quiet: every node steps and sends nothing — the per-node-step floor.
+//
+// Run it with `make bench-engine`.
 func BenchmarkEngineModes(b *testing.B) {
 	const rounds = 50
 	for _, n := range []int{256, 1024, 2048} {
 		g := graph.ConnectedGNP(n, 8/float64(n), newRand(1))
 		w := IDBits(n)
-		b.Run(fmt.Sprintf("n=%d/program", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := runExchange(Config{Graph: g}, rounds, w); err != nil {
-					b.Fatal(err)
-				}
+		modes := []struct {
+			name  string
+			cfg   Config
+			quiet bool
+		}{
+			{"program", Config{Graph: g}, false},
+			{"clique", Config{Graph: g, Model: CongestedClique}, false},
+			{"quiet", Config{Graph: g}, true},
+		}
+		for _, m := range modes {
+			if m.name == "clique" && n > 1024 {
+				continue
 			}
-			reportNodeRounds(b, n, rounds)
-		})
+			b.Run(fmt.Sprintf("n=%d/%s", n, m.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := runExchange(m.cfg, rounds, w, m.quiet); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportNodeRounds(b, n, rounds)
+			})
+		}
 	}
 }
 
@@ -32,10 +54,11 @@ func reportNodeRounds(b *testing.B, n, rounds int) {
 }
 
 // exchangeProgram is the benchmark workload: every node broadcasts its id
-// for rounds rounds and counts what arrives.
+// (unless quiet) for rounds rounds and counts what arrives.
 type exchangeProgram struct {
 	rounds int
 	width  int
+	quiet  bool
 	sum    int
 }
 
@@ -46,6 +69,9 @@ func (p *exchangeProgram) Step(nd *Node) (bool, error) {
 	if nd.Round() == p.rounds {
 		return true, nil
 	}
+	if p.quiet {
+		return false, nil
+	}
 	nd.Broadcast(NewIntWidth(int64(nd.ID()), p.width))
 	return false, nil
 }
@@ -53,6 +79,8 @@ func (p *exchangeProgram) Step(nd *Node) (bool, error) {
 func (p *exchangeProgram) Output() int { return p.sum }
 
 // runExchange runs exchangeProgram under cfg.
-func runExchange(cfg Config, rounds, width int) (*Result[int], error) {
-	return RunProgram(cfg, func(*Node) StepProgram[int] { return &exchangeProgram{rounds: rounds, width: width} })
+func runExchange(cfg Config, rounds, width int, quiet bool) (*Result[int], error) {
+	return RunProgram(cfg, func(*Node) StepProgram[int] {
+		return &exchangeProgram{rounds: rounds, width: width, quiet: quiet}
+	})
 }

@@ -18,15 +18,18 @@
 // # Execution
 //
 // Node programs are StepPrograms, and RunProgram is the one driver: each
-// round it calls every live node's Step once, in id order, as a plain
-// function call, then moves the round's messages from flat, reused per-node
-// outboxes into the inboxes. No goroutine, channel, or per-round map sits
-// in the round loop, and steady-state rounds allocate almost nothing, which
-// is what makes million-node runs practical. Config.Shards > 1 splits the
-// per-round node sweep across a persistent worker pool with byte-identical
-// results (see shard.go); ARCHITECTURE.md has measurements. For a fixed
-// Config (including Seed) a run's outputs, round counts, and statistics are
-// fully determined.
+// round one sweep calls every live node's Step once, in id order, as a
+// plain method call under a single deferred recover, then delivers the
+// round's messages. A Message is a pointer-free value; each node queues
+// its sends in a reused outbox, where a whole broadcast is one entry, and
+// delivery counting-sorts them by destination into one flat inbox, of
+// which every node's Recv is a range. No goroutine, channel, or per-round
+// map sits in the round loop, and steady-state rounds allocate nothing,
+// which is what makes million-node runs practical. Config.Shards > 1
+// splits the per-round node sweep across a persistent worker pool with
+// byte-identical results (see shard.go); ARCHITECTURE.md has measurements.
+// For a fixed Config (including Seed) a run's outputs, round counts, and
+// statistics are fully determined.
 package congest
 
 import (
@@ -62,14 +65,8 @@ func (m Model) String() string {
 	}
 }
 
-// Message is any payload with an explicit size in bits. Implementations
-// declare the size their fields would need on a real link; the simulator
-// enforces the per-round budget against it.
-type Message interface {
-	Bits() int
-}
-
-// Incoming pairs a delivered message with its sender.
+// Incoming pairs a delivered message with its sender. It holds no
+// pointer, so a round's whole inbox is one flat, pointer-free buffer.
 type Incoming struct {
 	From int
 	Msg  Message
@@ -180,27 +177,36 @@ type Node struct {
 	// rng is created lazily on the first Rand call: a rand.Source carries a
 	// multi-kilobyte state vector, so eagerly seeding every node costs
 	// gigabytes at n ≈ 10⁶ while deterministic algorithms never draw at all.
-	rng   *rand.Rand
-	inbox []Incoming
-	round int
+	rng *rand.Rand
 
 	// sh points at this node's shard staging buffers during a sharded round
 	// sweep (see shard.go); nil on the sequential sweep.
 	sh *shardState
 
-	// The send buffers: flat parallel (destination, message) slices
-	// truncated and reused across rounds, with a round-stamped map for
-	// duplicate-send detection.
-	// Broadcasts take a fast path that skips the per-destination checks
-	// (destinations are valid and duplicate-free by construction) and
-	// record themselves in the round-stamped bcastAll/bcastNbrs guards so
-	// later explicit sends still detect duplicates.
-	outDst    []int
-	outMsgs   []Message
+	// out is the send buffer, truncated and reused across rounds: one entry
+	// per explicit send, and one entry for a whole broadcast (to toNbrs or
+	// toAll), which delivery expands. sentRound is a round-stamped map for
+	// duplicate-send detection; a broadcast instead records itself in the
+	// round-stamped bcastAll/bcastNbrs guards, so later explicit sends
+	// still detect duplicates.
+	out       []outMsg
 	sentRound map[int]int
 	bcastAll  int
 	bcastNbrs int
 }
+
+// outMsg is one queued send: a destination id, or toNbrs/toAll for a
+// broadcast queued once.
+type outMsg struct {
+	to  int
+	msg Message
+}
+
+// The broadcast destinations of an outMsg.
+const (
+	toNbrs = -1 // every G-neighbor of the sender
+	toAll  = -2 // every node but the sender (CONGESTED CLIQUE)
+)
 
 // ID returns this node's identifier (0…n-1). The paper's algorithms use ids
 // for symmetry breaking; uniqueness is all that is required.
@@ -211,7 +217,7 @@ func (nd *Node) ID() int { return nd.id }
 func (nd *Node) N() int { return nd.eng.g.N() }
 
 // Round returns the current round number, starting from 0.
-func (nd *Node) Round() int { return nd.round }
+func (nd *Node) Round() int { return nd.eng.round }
 
 // Bandwidth returns the per-message budget B in bits.
 func (nd *Node) Bandwidth() int { return nd.eng.bandwidth }
@@ -252,26 +258,20 @@ func (nd *Node) Send(to int, m Message) error {
 	return nil
 }
 
-// queue appends one message to the outbox, registering this node as a
-// sender for the current round on its first send.
+// queue appends one entry to the outbox, registering this node as a sender
+// for the current round on its first entry: in the engine-wide list on the
+// sequential sweep, in the shard-local staging list on a sharded sweep
+// (concatenated in shard order at the barrier, which is ascending id order
+// — exactly the sequential sweep's order).
 func (nd *Node) queue(to int, m Message) {
-	if len(nd.outDst) == 0 {
-		nd.registerSender()
+	if len(nd.out) == 0 {
+		if sh := nd.sh; sh != nil {
+			sh.senders = append(sh.senders, nd.id)
+		} else {
+			nd.eng.senders = append(nd.eng.senders, nd.id)
+		}
 	}
-	nd.outDst = append(nd.outDst, to)
-	nd.outMsgs = append(nd.outMsgs, m)
-}
-
-// registerSender records this node in the current round's sender list: the
-// engine-wide list on the sequential sweep, the shard-local staging list on
-// a sharded sweep (concatenated in shard order at the barrier, which is
-// ascending id order — exactly the sequential sweep's order).
-func (nd *Node) registerSender() {
-	if sh := nd.sh; sh != nil {
-		sh.senders = append(sh.senders, nd.id)
-		return
-	}
-	nd.eng.senders = append(nd.eng.senders, nd.id)
+	nd.out = append(nd.out, outMsg{to: to, msg: m})
 }
 
 func (nd *Node) sendCheck(to int, m Message) error {
@@ -284,7 +284,7 @@ func (nd *Node) sendCheck(to int, m Message) error {
 	if nd.sentRound[to] == nd.eng.stamp ||
 		nd.bcastAll == nd.eng.stamp ||
 		(nd.bcastNbrs == nd.eng.stamp && nd.eng.g.HasEdge(nd.id, to)) {
-		return fmt.Errorf("congest: node %d: second message to %d in round %d", nd.id, to, nd.round)
+		return fmt.Errorf("congest: node %d: second message to %d in round %d", nd.id, to, nd.eng.round)
 	}
 	if b := m.Bits(); b > nd.eng.bandwidth {
 		return fmt.Errorf("congest: node %d: message of %d bits exceeds budget %d", nd.id, b, nd.eng.bandwidth)
@@ -304,19 +304,19 @@ func (nd *Node) MustSend(to int, m Message) {
 // Broadcast sends m to every neighbor (CONGEST) or every other node
 // (CONGESTED CLIQUE).
 func (nd *Node) Broadcast(m Message) {
-	if nd.eng.model == CongestedClique {
-		if len(nd.outDst) == 0 {
-			nd.fastBroadcast(m, nil)
-			return
-		}
-		for to := 0; to < nd.eng.g.N(); to++ {
-			if to != nd.id {
-				nd.MustSend(to, m)
-			}
-		}
+	if nd.eng.model != CongestedClique {
+		nd.BroadcastNeighbors(m)
 		return
 	}
-	nd.BroadcastNeighbors(m)
+	if len(nd.out) == 0 {
+		nd.fastBroadcast(m, toAll, nd.eng.g.N()-1)
+		return
+	}
+	for to := 0; to < nd.eng.g.N(); to++ {
+		if to != nd.id {
+			nd.MustSend(to, m)
+		}
+	}
 }
 
 // BroadcastNeighbors sends m to every G-neighbor regardless of model: the
@@ -324,8 +324,8 @@ func (nd *Node) Broadcast(m Message) {
 // when the network runs in CONGESTED CLIQUE mode (all of
 // congest/primitives does).
 func (nd *Node) BroadcastNeighbors(m Message) {
-	if len(nd.outDst) == 0 {
-		nd.fastBroadcast(m, nd.eng.g.Adj(nd.id))
+	if len(nd.out) == 0 {
+		nd.fastBroadcast(m, toNbrs, nd.eng.g.Degree(nd.id))
 		return
 	}
 	for _, to := range nd.Neighbors() {
@@ -333,18 +333,13 @@ func (nd *Node) BroadcastNeighbors(m Message) {
 	}
 }
 
-// fastBroadcast is the broadcast fast path, valid only when
-// nothing was queued yet this round (the caller checked): destinations are
-// distinct and reachable by construction, so the per-destination checks
-// reduce to one bandwidth test, and the round-stamped guard keeps later
-// explicit sends honest about duplicates. adj == nil means "every node but
-// this one" (the CONGESTED CLIQUE rule).
-func (nd *Node) fastBroadcast(m Message, adj []int) {
-	n := nd.eng.g.N()
-	count := len(adj)
-	if adj == nil {
-		count = n - 1
-	}
+// fastBroadcast is the broadcast fast path, valid only when nothing was
+// queued yet this round (the caller checked): the count destinations
+// (toNbrs or toAll) are distinct and reachable by construction, so the
+// per-destination checks reduce to one bandwidth test, the whole broadcast
+// is one outbox entry that delivery expands, and the round-stamped guard
+// keeps later explicit sends honest about duplicates.
+func (nd *Node) fastBroadcast(m Message, to, count int) {
 	if count == 0 {
 		return
 	}
@@ -352,22 +347,12 @@ func (nd *Node) fastBroadcast(m Message, adj []int) {
 		// Same failure MustSend's check reports on the first destination.
 		panic(nodePanic{fmt.Errorf("congest: node %d: message of %d bits exceeds budget %d", nd.id, b, nd.eng.bandwidth)})
 	}
-	nd.registerSender()
-	if adj == nil {
-		for to := 0; to < n; to++ {
-			if to != nd.id {
-				nd.outDst = append(nd.outDst, to)
-				nd.outMsgs = append(nd.outMsgs, m)
-			}
-		}
+	nd.queue(to, m)
+	if to == toAll {
 		nd.bcastAll = nd.eng.stamp
-		return
+	} else {
+		nd.bcastNbrs = nd.eng.stamp
 	}
-	nd.outDst = append(nd.outDst, adj...)
-	for range adj {
-		nd.outMsgs = append(nd.outMsgs, m)
-	}
-	nd.bcastNbrs = nd.eng.stamp
 }
 
 // SpanBegin marks the start of a named phase span at the current round.
@@ -384,10 +369,10 @@ func (nd *Node) SpanBegin(name string, index int) {
 		// Sharded sweep: stage the mark shard-locally; the barrier replays
 		// marks in shard order (= id order), reproducing the sequential
 		// sweep's reference-count transitions and event order.
-		sh.marks = append(sh.marks, spanMark{name: name, index: index, round: nd.round})
+		sh.marks = append(sh.marks, spanMark{name: name, index: index})
 		return
 	}
-	nd.eng.spanBegin(name, index, nd.round)
+	nd.eng.spanBegin(name, index)
 }
 
 // SpanEnd marks the close of a phase span. Spans are half-open round
@@ -400,24 +385,29 @@ func (nd *Node) SpanEnd(name string, index int) {
 		return
 	}
 	if sh := nd.sh; sh != nil {
-		sh.marks = append(sh.marks, spanMark{name: name, index: index, round: nd.round, end: true})
+		sh.marks = append(sh.marks, spanMark{name: name, index: index, end: true})
 		return
 	}
-	nd.eng.spanEnd(name, index, nd.round)
+	nd.eng.spanEnd(name, index)
 }
 
 // Recv returns the messages delivered at the start of the current round
 // (i.e. sent during the previous round), sorted by sender id. The slice is
-// shared and must not be modified.
-func (nd *Node) Recv() []Incoming { return nd.inbox }
+// this node's range of the round's shared inbox: it must not be modified,
+// and it is valid only during the current Step, because the next delivery
+// overwrites it.
+func (nd *Node) Recv() []Incoming {
+	e := nd.eng
+	return e.inbox[e.off[nd.id]:e.off[nd.id+1]]
+}
 
 // RecvFrom returns the message delivered this round from the given sender,
 // if any.
 func (nd *Node) RecvFrom(from int) (Message, bool) {
-	for _, in := range nd.inbox {
+	for _, in := range nd.Recv() {
 		if in.From == from {
 			return in.Msg, true
 		}
 	}
-	return nil, false
+	return Message{}, false
 }

@@ -58,11 +58,11 @@ func TestSingleRoundNeighborExchange(t *testing.T) {
 		}
 		var got []int
 		for _, in := range nd.Recv() {
-			m := in.Msg.(Int)
-			if int64(in.From) != m.V {
-				return nil, true, fmt.Errorf("sender mismatch: %d vs %d", in.From, m.V)
+			m := in.Msg
+			if m.Kind != KindInt || int64(in.From) != m.A {
+				return nil, true, fmt.Errorf("sender mismatch: %d vs %+v", in.From, m)
 			}
-			got = append(got, int(m.V))
+			got = append(got, int(m.A))
 		}
 		return got, true, nil
 	})
@@ -133,7 +133,7 @@ func TestMessagesArriveOneRoundLater(t *testing.T) {
 			if len(nd.Recv()) != 0 {
 				return 0, true, errors.New("round-0 inbox not empty")
 			}
-			nd.MustSend(1-nd.ID(), Flag{})
+			nd.MustSend(1-nd.ID(), Flag())
 			// Same round: still nothing.
 			if len(nd.Recv()) != 0 {
 				return 0, true, errors.New("message visible before barrier")
@@ -158,22 +158,22 @@ func TestSendValidation(t *testing.T) {
 		if nd.ID() != 0 {
 			return 0, true, nil
 		}
-		if err := nd.Send(0, Flag{}); err == nil {
+		if err := nd.Send(0, Flag()); err == nil {
 			return 0, true, errors.New("self-send accepted")
 		}
-		if err := nd.Send(5, Flag{}); err == nil {
+		if err := nd.Send(5, Flag()); err == nil {
 			return 0, true, errors.New("out of range accepted")
 		}
-		if err := nd.Send(-1, Flag{}); err == nil {
+		if err := nd.Send(-1, Flag()); err == nil {
 			return 0, true, errors.New("negative destination accepted")
 		}
-		if err := nd.Send(2, Flag{}); err == nil {
+		if err := nd.Send(2, Flag()); err == nil {
 			return 0, true, errors.New("non-neighbor accepted in CONGEST")
 		}
-		if err := nd.Send(1, Flag{}); err != nil {
+		if err := nd.Send(1, Flag()); err != nil {
 			return 0, true, err
 		}
-		if err := nd.Send(1, Flag{}); err == nil {
+		if err := nd.Send(1, Flag()); err == nil {
 			return 0, true, errors.New("duplicate per-round send accepted")
 		}
 		return 0, true, nil
@@ -198,28 +198,28 @@ func TestBatchSendValidation(t *testing.T) {
 			case 0:
 				// Broadcast covers the G-neighbors (CONGEST) or everyone
 				// (clique).
-				nd.Broadcast(Flag{})
-				if err := nd.Send(2, Flag{}); err == nil {
+				nd.Broadcast(Flag())
+				if err := nd.Send(2, Flag()); err == nil {
 					return 0, true, errors.New("send after Broadcast accepted")
 				}
 				if model == CongestedClique {
-					if err := nd.Send(3, Flag{}); err == nil {
+					if err := nd.Send(3, Flag()); err == nil {
 						return 0, true, errors.New("clique send after Broadcast accepted")
 					}
 				}
 			case 1:
 				// The guards reset at the round boundary.
-				if err := nd.Send(2, Flag{}); err != nil {
+				if err := nd.Send(2, Flag()); err != nil {
 					return 0, true, fmt.Errorf("fresh-round send rejected: %w", err)
 				}
 			case 2:
 				// BroadcastNeighbors covers only the G-neighbors.
-				nd.BroadcastNeighbors(Flag{})
-				if err := nd.Send(0, Flag{}); err == nil {
+				nd.BroadcastNeighbors(Flag())
+				if err := nd.Send(0, Flag()); err == nil {
 					return 0, true, errors.New("send after BroadcastNeighbors accepted")
 				}
 				if model == CongestedClique {
-					if err := nd.Send(3, Flag{}); err != nil {
+					if err := nd.Send(3, Flag()); err != nil {
 						return 0, true, fmt.Errorf("clique send to a non-neighbor rejected: %w", err)
 					}
 				}
@@ -254,7 +254,7 @@ func TestMustSendViolationAbortsRun(t *testing.T) {
 	g := graph.Path(3)
 	_, err := runScript(Config{Graph: g}, func(nd *Node) (int, bool, error) {
 		if nd.ID() == 0 && nd.Round() == 0 {
-			nd.MustSend(2, Flag{}) // not a neighbor: must abort the run
+			nd.MustSend(2, Flag()) // not a neighbor: must abort the run
 		}
 		return 0, nd.Round() == 10, nil
 	})
@@ -280,8 +280,8 @@ func TestBatchMustSendViolationAbortsRun(t *testing.T) {
 	}
 	_, err = runScript(Config{Graph: g}, func(nd *Node) (int, bool, error) {
 		if nd.ID() == 1 {
-			nd.MustSend(2, Flag{})
-			nd.BroadcastNeighbors(Flag{})
+			nd.MustSend(2, Flag())
+			nd.BroadcastNeighbors(Flag())
 		}
 		return 0, nd.Round() == 3, nil
 	})
@@ -428,7 +428,7 @@ func TestCliqueModelAllToAll(t *testing.T) {
 			return 0, false, nil
 		}
 		if nd.ID() == 3 {
-			if len(nd.Recv()) != 1 || nd.Recv()[0].Msg.(Int).V != 42 {
+			if len(nd.Recv()) != 1 || nd.Recv()[0].Msg.A != 42 {
 				return 0, true, errors.New("clique message lost")
 			}
 			return 42, true, nil
@@ -485,7 +485,7 @@ func TestStatsBitCounting(t *testing.T) {
 // round 1.
 func broadcastOnce(nd *Node) (int, bool, error) {
 	if nd.Round() == 0 {
-		nd.Broadcast(Flag{})
+		nd.Broadcast(Flag())
 		return 0, false, nil
 	}
 	return 0, true, nil
@@ -649,7 +649,7 @@ func TestMessagesFromEarlyFinisherStillDelivered(t *testing.T) {
 	g := graph.Path(2)
 	res, err := runScript(Config{Graph: g}, func(nd *Node) (bool, bool, error) {
 		if nd.ID() == 0 {
-			nd.MustSend(1, Flag{})
+			nd.MustSend(1, Flag())
 			return true, true, nil // finish at once; the message must still go out
 		}
 		if nd.Round() == 0 {
@@ -677,7 +677,7 @@ func TestBatchEarlyFinisherAndDelivery(t *testing.T) {
 			return 1, true, nil
 		}
 		if nd.ID() == 1 && nd.Round() < 3 {
-			nd.MustSend(0, Flag{}) // to a finished node
+			nd.MustSend(0, Flag()) // to a finished node
 		}
 		return 10 + nd.Round(), nd.Round() == 3, nil
 	})
@@ -704,7 +704,7 @@ func TestRecvFrom(t *testing.T) {
 		}
 		if nd.ID() == 1 {
 			m, ok := nd.RecvFrom(2)
-			if !ok || m.(Int).V != 2 {
+			if !ok || m.Kind != KindInt || m.A != 2 {
 				return 0, true, errors.New("RecvFrom(2) failed")
 			}
 			if _, ok := nd.RecvFrom(1); ok {
@@ -792,7 +792,7 @@ func TestEngineDifferentialRandomTraffic(t *testing.T) {
 							rounds[nd.ID()] = 5 + rng.Intn(15) // nodes finish at different times
 						}
 						for _, in := range nd.Recv() {
-							sums[nd.ID()] += in.Msg.(Int).V * int64(in.From+1)
+							sums[nd.ID()] += in.Msg.A * int64(in.From+1)
 						}
 						if nd.Round() == rounds[nd.ID()] {
 							return sums[nd.ID()], true, nil

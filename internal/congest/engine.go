@@ -3,24 +3,29 @@ package congest
 import (
 	"context"
 	"fmt"
-	"sync"
+	"math"
+	"slices"
 
 	"powergraph/internal/bitset"
 	"powergraph/internal/obs"
 )
 
 // The engine: a single scheduler goroutine advances every node once per
-// round (in id order) and then moves all queued messages from the flat
-// per-node outbox slices into the inbox slices, reusing the buffers across
-// rounds. There is no per-node goroutine, no channel, and no per-round map
-// allocation in the loop.
+// round (in id order, one sweep under one deferred recover) and then
+// delivers the round's messages by counting sort into one flat inbox,
+// reusing every buffer across rounds. There is no per-node goroutine, no
+// channel, and no per-round allocation in the loop.
 //
 // Determinism follows from three invariants: nodes only interact at round
-// boundaries, senders are processed in id order (so inboxes are sorted by
-// sender), and a round is counted (and its messages delivered) exactly when
-// at least one node is still running after the sweep.
+// boundaries, senders are processed in id order (so every node's inbox
+// range is sorted by sender), and a round is counted (and its messages
+// delivered) exactly when at least one node is still running after the
+// sweep.
 
-// engine is the per-run simulation state.
+// engine is the per-run simulation state. Everything but the nodes' own
+// outboxes is touched only by the coordinator goroutine (the sharded sweep
+// stages node-side effects per shard and replays them at the barrier), so
+// nothing here takes a lock.
 type engine struct {
 	g         graphLike
 	model     Model
@@ -31,97 +36,97 @@ type engine struct {
 	// cancellation (checked via ctxErr, one poll per round).
 	ctx context.Context
 
-	nodes []*Node
-	stats Stats
-
-	mu       sync.Mutex
+	// nodes holds every Node value in one allocation.
+	nodes    []Node
+	stats    Stats
 	firstErr error
 
-	// Scheduling: stamp is the current round's duplicate-send guard value
-	// (round index + 1, never zero); senders lists the nodes that queued
-	// messages this round (ascending, because the sweep runs in id order)
-	// and receivers the nodes whose inboxes are non-empty, so delivery cost
-	// scales with actual traffic instead of n.
-	stamp     int
-	senders   []int
-	receivers []int
+	// Scheduling: round is the current round and stamp its duplicate-send
+	// guard value (round + 1, never zero); senders lists the nodes that
+	// queued messages this round, ascending because the sweep runs in id
+	// order.
+	round   int
+	stamp   int
+	senders []int
 
-	// Sharded scheduling (see shard.go): shards is the worker count for
-	// the per-round node sweep (≤ 1 means sequential), shardStates the
-	// per-shard staging buffers, and nodeSlab the backing array all Node
-	// values live in (one allocation instead of n).
+	// Delivery (see deliver): inbox holds the last delivered round's
+	// messages grouped by destination, node v's range being
+	// inbox[off[v]:off[v+1]]. off has n+2 entries so the counting sort can
+	// count into off[v+2] and use off[v+1] as v's write cursor; offDirty
+	// reports that off still holds a delivered round's ranges.
+	inbox    []Incoming
+	off      []int32
+	offDirty bool
+
+	// shards is the worker count for the per-round node sweep (≤ 1 means
+	// sequential); shardStates holds the per-shard staging buffers (see
+	// shard.go).
 	shards      int
 	shardStates []shardState
-	nodeSlab    []Node
 
 	// Tracing (see internal/obs). tracer is nil when disabled; wantRounds
-	// caches tracer.WantRounds() so delivery only pays the per-round
-	// accounting when a tracer actually wants round events. seed is kept
-	// for the run-start record; seedBase derives the per-node random
-	// streams lazily (see Node.Rand).
+	// caches tracer.WantRounds() so per-round events are only built when a
+	// tracer actually wants them. seed is kept for the run-start record;
+	// seedBase derives the per-node random streams lazily (see Node.Rand).
 	tracer     obs.Tracer
 	wantRounds bool
 	seed       int64
 	seedBase   int64
 
 	// Per-round trace accounting, filled by deliver: bits and messages
-	// delivered in the last completed round, and (only when wantRounds)
-	// the largest single message — which, at one message per directed link
-	// per round, is exactly the max single-link bit volume.
+	// delivered in the last completed round, and the largest single
+	// message — which, at one message per directed link per round, is
+	// exactly the max single-link bit volume.
 	lastBits    int64
 	lastMsgs    int64
 	lastMaxLink int64
 
-	// Span reference counts: per-node begin/end marks collapse into one
-	// network-wide span event on the 0→1 and →0 transitions. spanMu
-	// serializes the reference counts and the tracer span calls.
-	spanMu sync.Mutex
-	spans  map[spanKey]int
+	// spans holds the open spans' reference counts: per-node begin/end
+	// marks collapse into one network-wide span event on the 0→1 and →0
+	// transitions. Few spans are open at once, so a slice beats a map.
+	spans []openSpan
 }
 
-// spanKey identifies one open span instance.
-type spanKey struct {
+// openSpan is one open span instance and its count of per-node marks.
+type openSpan struct {
 	name  string
 	index int
+	refs  int
 }
 
-// spanBegin records one node's span-begin mark, emitting the tracer event
-// on the first mark for this (name, index). The emitted mark carries the
-// cumulative message count as of the round boundary: marks fire while the
-// round's steps run (or, sharded, at the barrier replay) — in both cases
-// before that round's delivery updates the counter — so the snapshot is the
-// traffic delivered before the mark's round, at any shard count.
-func (e *engine) spanBegin(name string, index, round int) {
-	e.spanMu.Lock()
-	defer e.spanMu.Unlock()
-	if e.spans == nil {
-		e.spans = make(map[spanKey]int)
+// spanBegin records one node's span-begin mark at the current round,
+// emitting the tracer event on the first mark for this (name, index). The
+// emitted mark carries the cumulative message count as of the round
+// boundary: marks fire while the round's steps run (or, sharded, at the
+// barrier replay) — in both cases before that round's delivery updates the
+// counter — so the snapshot is the traffic delivered before the mark's
+// round, at any shard count.
+func (e *engine) spanBegin(name string, index int) {
+	for i := range e.spans {
+		if sp := &e.spans[i]; sp.index == index && sp.name == name {
+			sp.refs++
+			return
+		}
 	}
-	k := spanKey{name, index}
-	refs := e.spans[k]
-	e.spans[k] = refs + 1
-	if refs == 0 {
-		e.tracer.SpanBegin(obs.Span{Name: name, Index: index, Round: round, Msgs: e.stats.Messages})
-	}
+	e.spans = append(e.spans, openSpan{name: name, index: index, refs: 1})
+	e.tracer.SpanBegin(obs.Span{Name: name, Index: index, Round: e.round, Msgs: e.stats.Messages})
 }
 
 // spanEnd records one node's span-end mark, emitting the tracer event when
 // the last mark is withdrawn. Ends without a matching open span are ignored
 // so termination paths can close spans unconditionally.
-func (e *engine) spanEnd(name string, index, round int) {
-	e.spanMu.Lock()
-	defer e.spanMu.Unlock()
-	k := spanKey{name, index}
-	refs := e.spans[k]
-	if refs == 0 {
+func (e *engine) spanEnd(name string, index int) {
+	for i := range e.spans {
+		sp := &e.spans[i]
+		if sp.index != index || sp.name != name {
+			continue
+		}
+		if sp.refs--; sp.refs == 0 {
+			e.spans = slices.Delete(e.spans, i, i+1)
+			e.tracer.SpanEnd(obs.Span{Name: name, Index: index, Round: e.round, Msgs: e.stats.Messages})
+		}
 		return
 	}
-	if refs == 1 {
-		delete(e.spans, k)
-		e.tracer.SpanEnd(obs.Span{Name: name, Index: index, Round: round, Msgs: e.stats.Messages})
-		return
-	}
-	e.spans[k] = refs - 1
 }
 
 // traceRunStart emits the run-start event, if a tracer is attached.
@@ -182,9 +187,9 @@ type graphLike interface {
 
 // ctxErr polls the run's context without blocking: nil while the run may
 // continue, an error wrapping ErrCanceled and the context's cause once it is
-// done. Both round loops (sequential and sharded) call it at the same
-// position — right after the MaxRounds check at the top of each round
-// iteration — so they abort at the same granularity: a clean round boundary.
+// done. The round loop calls it right after the MaxRounds check at the top
+// of each round, so a run aborts at a clean round boundary at any shard
+// count.
 func (e *engine) ctxErr() error {
 	if e.ctx == nil {
 		return nil
@@ -197,26 +202,12 @@ func (e *engine) ctxErr() error {
 	}
 }
 
-func (e *engine) setErr(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.firstErr == nil {
-		e.firstErr = err
-	}
-}
-
-func (e *engine) getErr() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.firstErr
-}
-
 // nodeErr records a node failure. On a sharded sweep it is staged in
 // the node's shard (each shard keeps its first error, i.e. its lowest-id
 // failing node, because the in-shard sweep is sequential in id order); the
 // barrier then adopts the lowest shard's error, reproducing exactly the
-// "first error in id order" the sequential sweep records. Everywhere else
-// it goes straight to the engine.
+// "first error in id order" the sequential sweep records. On the
+// sequential sweep it goes straight to the engine.
 func (e *engine) nodeErr(nd *Node, err error) {
 	if sh := nd.sh; sh != nil {
 		if sh.err == nil {
@@ -224,7 +215,9 @@ func (e *engine) nodeErr(nd *Node, err error) {
 		}
 		return
 	}
-	e.setErr(err)
+	if e.firstErr == nil {
+		e.firstErr = err
+	}
 }
 
 // newEngine validates cfg and builds the engine plus its nodes. It does not
@@ -264,21 +257,19 @@ func newEngine(cfg Config) (*engine, error) {
 		tracer:    cfg.Tracer,
 		seed:      cfg.Seed,
 		seedBase:  cfg.Seed * 1_000_003,
+		off:       make([]int32, n+2),
 	}
 	if cfg.Tracer != nil {
 		eng.wantRounds = cfg.Tracer.WantRounds()
 	}
 	eng.stats.Bandwidth = eng.bandwidth
-	// One slab allocation for all node state; per-node duplicate-send guards
-	// and random streams are created lazily so a million-node run pays only
-	// for what its algorithm uses.
-	eng.nodeSlab = make([]Node, n)
-	eng.nodes = make([]*Node, n)
-	for i := 0; i < n; i++ {
-		nd := &eng.nodeSlab[i]
-		nd.id = i
-		nd.eng = eng
-		eng.nodes[i] = nd
+	// One allocation for all node state; per-node duplicate-send guards and
+	// random streams are created lazily so a million-node run pays only for
+	// what its algorithm uses.
+	eng.nodes = make([]Node, n)
+	for i := range eng.nodes {
+		eng.nodes[i].id = i
+		eng.nodes[i].eng = eng
 	}
 	return eng, nil
 }
@@ -304,147 +295,261 @@ func RunProgram[T any](cfg Config, newProgram func(nd *Node) StepProgram[T]) (*R
 	if n == 0 {
 		return &Result[T]{}, nil
 	}
-	outputs := make([]T, n)
-	progs := make([]StepProgram[T], n)
-	for i, nd := range eng.nodes {
-		progs[i] = newProgram(nd)
+	s := &sweeper[T]{
+		e:       eng,
+		progs:   make([]StepProgram[T], n),
+		outputs: make([]T, n),
+		done:    make([]bool, n),
+	}
+	for i := range eng.nodes {
+		s.progs[i] = newProgram(&eng.nodes[i])
 	}
 	eng.traceRunStart()
-	runErr := eng.run(func(nd *Node) bool { return stepNode(nd, progs[nd.id], outputs) })
-	if runErr == nil {
-		runErr = eng.getErr()
-	}
+	runErr := eng.run(s.sweep)
 	eng.traceRunEnd(runErr)
 	if runErr != nil {
 		return nil, runErr
 	}
-	return &Result[T]{Outputs: outputs, Stats: eng.stats}, nil
+	return &Result[T]{Outputs: s.outputs, Stats: eng.stats}, nil
 }
 
-// stepNode advances one node by one round and reports whether it finished.
-// A failing step (error, MustSend violation, or panic) records the node's
-// error and finishes the node; the round loop aborts after the sweep.
-func stepNode[T any](nd *Node, prog StepProgram[T], outputs []T) (done bool) {
-	nd.round = nd.eng.stamp - 1
+// sweeper advances a run's node programs; sweep is the whole per-node
+// stepping cost of a round.
+type sweeper[T any] struct {
+	e       *engine
+	progs   []StepProgram[T]
+	outputs []T
+	done    []bool
+}
+
+// sweep advances every live node of the id range [lo, hi) by one round, in
+// id order, and returns how many of them finished. A failing step (error,
+// MustSend violation, or panic) records the node's error and finishes the
+// node; the round loop aborts after the sweep, so the nodes after it still
+// step this round, exactly as if it had returned its error.
+func (s *sweeper[T]) sweep(lo, hi int) (finished int) {
+	for lo < hi {
+		lo, finished = s.sweepFrom(lo, hi, finished)
+	}
+	return finished
+}
+
+// sweepFrom is sweep's loop under a single deferred recover: it returns
+// hi once the range is done, or the id after a node whose step panicked,
+// with that node finished and its error recorded.
+func (s *sweeper[T]) sweepFrom(i, hi, finished int) (next, fin int) {
+	e := s.e
 	defer func() {
 		if r := recover(); r != nil {
+			nd := &e.nodes[i]
 			if np, ok := r.(nodePanic); ok {
-				nd.eng.nodeErr(nd, np.err)
+				e.nodeErr(nd, np.err)
 			} else {
-				nd.eng.nodeErr(nd, fmt.Errorf("congest: node %d panicked: %v [%s]", nd.id, r, obs.StackSummary(2, 6)))
+				e.nodeErr(nd, fmt.Errorf("congest: node %d panicked: %v [%s]", i, r, obs.StackSummary(2, 6)))
 			}
-			done = true
+			s.done[i] = true
+			next, fin = i+1, finished+1
 		}
 	}()
-	done, err := prog.Step(nd)
-	if err != nil {
-		nd.eng.nodeErr(nd, fmt.Errorf("congest: node %d: %w", nd.id, err))
-		return true
+	for ; i < hi; i++ {
+		if s.done[i] {
+			continue
+		}
+		done, err := s.progs[i].Step(&e.nodes[i])
+		if err != nil {
+			e.nodeErr(&e.nodes[i], fmt.Errorf("congest: node %d: %w", i, err))
+			done = true
+		} else if done {
+			s.outputs[i] = s.progs[i].Output()
+		}
+		if done {
+			s.done[i] = true
+			finished++
+		}
 	}
-	if done {
-		outputs[nd.id] = prog.Output()
-	}
-	return done
+	return hi, finished
 }
 
-// errMaxRounds builds the round-limit abort error; the sequential and the
-// sharded loop report it identically.
-func errMaxRounds(limit int) error {
-	return fmt.Errorf("%w (%d)", ErrMaxRounds, limit)
-}
-
-// run is the round loop: step advances one node by one round and reports
-// whether it finished. It returns the abort cause, or nil once every node
-// has finished. With Config.Shards > 1 the sweep is delegated to the
-// sharded driver (shard.go), which stages per-shard side effects and merges
-// them at the barrier so its output is byte-identical to this sequential
-// loop.
-func (e *engine) run(step func(nd *Node) bool) error {
+// run is the round loop: sweep advances the live nodes of an id range by
+// one round and reports how many finished. It returns the abort cause, or
+// nil once every node has finished. With Config.Shards > 1 each round's
+// sweep fans out to the shard workers (shard.go), whose staged side effects
+// are merged at the barrier so the run is byte-identical to the sequential
+// sweep.
+func (e *engine) run(sweep func(lo, hi int) int) error {
+	n := len(e.nodes)
+	sweepRound := func() int { return sweep(0, n) }
 	if e.shards > 1 {
-		return e.runSharded(step)
+		var stop func()
+		sweepRound, stop = e.startShards(sweep)
+		defer stop()
 	}
-	alive := make([]bool, len(e.nodes))
-	for i := range alive {
-		alive[i] = true
-	}
-	live := len(e.nodes)
+	live := n
 	for round := 0; ; round++ {
 		if round > e.maxRounds {
-			return errMaxRounds(e.maxRounds)
+			return fmt.Errorf("%w (%d)", ErrMaxRounds, e.maxRounds)
 		}
 		if err := e.ctxErr(); err != nil {
 			return err
 		}
-		// stamp doubles as the duplicate-send guard for this round; it is
-		// round+1 so the zero value of a node's sentRound map never matches.
-		e.stamp = round + 1
-		for i, nd := range e.nodes {
-			if !alive[i] {
-				continue
-			}
-			if step(nd) {
-				alive[i] = false
-				live--
-			}
-		}
-		if err := e.getErr(); err != nil {
-			return err
+		e.round, e.stamp = round, round+1
+		live -= sweepRound()
+		if e.firstErr != nil {
+			return e.firstErr
 		}
 		if live == 0 {
 			return nil
 		}
 		e.stats.Rounds++
-		e.deliver()
+		if err := e.deliver(); err != nil {
+			return err
+		}
 		e.traceRound(round, live)
 	}
 }
 
-// deliver moves every sending node's flat outbox into the destination
-// inboxes, accounting bits. Senders were registered in id order, so every
-// inbox stays sorted by sender; within one sender the queue order is
-// irrelevant because a sender queues at most one message per destination
-// per round. Only last round's receivers need their inboxes cleared, so a
-// quiet round costs nothing per idle node.
-func (e *engine) deliver() {
-	for _, id := range e.receivers {
-		e.nodes[id].inbox = e.nodes[id].inbox[:0]
+// deliver moves every queued message into the flat inbox and accounts the
+// round's traffic. It is a counting sort by destination: count tallies
+// each destination's messages, prefix turns the tallies into ranges, and
+// scatter copies the messages into them. Senders are scattered in id
+// order, so every node's range is sorted by sender; within one sender the
+// queue order is irrelevant because a sender queues at most one message per
+// destination per round. A round with messages costs O(n) for the clear
+// and the prefix sum over off plus O(1) per message; a quiet round after a
+// quiet round costs O(1).
+func (e *engine) deliver() error {
+	if e.offDirty {
+		clear(e.off)
+		e.offDirty = false
 	}
-	e.receivers = e.receivers[:0]
-	var roundBits, roundMsgs, maxLink int64
+	e.lastBits, e.lastMsgs, e.lastMaxLink = 0, 0, 0
+	if len(e.senders) == 0 {
+		return nil
+	}
+	allBcasts := e.count()
+	if e.lastMsgs > math.MaxInt32 {
+		return fmt.Errorf("congest: round %d queued %d messages, more than one round's inbox can hold", e.round, e.lastMsgs)
+	}
+	e.prefix(int32(allBcasts))
+	e.scatter()
+	e.offDirty = true
+	e.stats.TotalBits += e.lastBits
+	e.stats.Messages += e.lastMsgs
+	e.stats.MaxRoundBits = max(e.stats.MaxRoundBits, e.lastBits)
+	e.stats.MaxRoundMessages = max(e.stats.MaxRoundMessages, e.lastMsgs)
+	return nil
+}
+
+// count tallies destination v's messages into off[v+2] and accounts the
+// round's messages, bits, largest message and cut traffic into the last*
+// fields, one outbox entry at a time. It returns the number of queued
+// all-node broadcasts: each adds one message to every node but its sender,
+// which prefix adds in bulk (count withdraws the sender's own one here).
+func (e *engine) count() (allBcasts int) {
+	off := e.off
+	n := len(e.nodes)
+	var msgs, bits, maxLink int64
 	for _, sid := range e.senders {
-		nd := e.nodes[sid]
-		for k, to := range nd.outDst {
-			m := nd.outMsgs[k]
-			b := int64(m.Bits())
-			e.stats.TotalBits += b
-			roundBits += b
-			roundMsgs++
-			// One message per directed link per round, so the largest
-			// message is the max single-link bit volume this round; only
-			// paid for when a tracer asked for round events.
-			if e.wantRounds && b > maxLink {
-				maxLink = b
+		for _, o := range e.nodes[sid].out {
+			var k int
+			switch o.to {
+			case toNbrs:
+				adj := e.g.Adj(sid)
+				for _, u := range adj {
+					off[u+2]++
+				}
+				k = len(adj)
+			case toAll:
+				allBcasts++
+				off[sid+2]--
+				k = n - 1
+			default:
+				off[o.to+2]++
+				k = 1
 			}
-			if e.cutA != nil && e.cutA.Contains(nd.id) != e.cutA.Contains(to) {
-				e.stats.CutBits += b
-				e.stats.CutMessages++
+			b := int64(o.msg.Bits())
+			msgs += int64(k)
+			bits += b * int64(k)
+			maxLink = max(maxLink, b)
+			if e.cutA != nil {
+				c := e.crossings(sid, o.to)
+				e.stats.CutBits += b * c
+				e.stats.CutMessages += c
 			}
-			dst := e.nodes[to]
-			if len(dst.inbox) == 0 {
-				e.receivers = append(e.receivers, to)
-			}
-			dst.inbox = append(dst.inbox, Incoming{From: nd.id, Msg: m})
 		}
-		nd.outDst = nd.outDst[:0]
-		nd.outMsgs = nd.outMsgs[:0]
+	}
+	e.lastMsgs, e.lastBits, e.lastMaxLink = msgs, bits, maxLink
+	return allBcasts
+}
+
+// crossings counts the destinations of sender sid's outbox entry to that
+// lie on the other side of the configured cut.
+func (e *engine) crossings(sid, to int) int64 {
+	side := e.cutA.Contains(sid)
+	var c int64
+	switch to {
+	case toNbrs:
+		for _, u := range e.g.Adj(sid) {
+			if e.cutA.Contains(u) != side {
+				c++
+			}
+		}
+	case toAll:
+		for u := range e.nodes {
+			if u != sid && e.cutA.Contains(u) != side {
+				c++
+			}
+		}
+	default:
+		if e.cutA.Contains(to) != side {
+			c = 1
+		}
+	}
+	return c
+}
+
+// prefix turns count's tallies into ranges: afterwards off[v+1] is the
+// start of node v's range (scatter's write cursor for v), and every count
+// is raised by the allBcasts all-node broadcasts.
+func (e *engine) prefix(allBcasts int32) {
+	off := e.off
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1] + allBcasts
+	}
+}
+
+// scatter copies every queued message to its destination's cursor, in
+// sender id order, and empties the outboxes. Afterwards off[v+1] is the end
+// of node v's range, which is where node v+1's range starts.
+func (e *engine) scatter() {
+	e.inbox = slices.Grow(e.inbox[:0], int(e.lastMsgs))[:e.lastMsgs]
+	inbox, off := e.inbox, e.off
+	n := len(e.nodes)
+	for _, sid := range e.senders {
+		nd := &e.nodes[sid]
+		for _, o := range nd.out {
+			in := Incoming{From: sid, Msg: o.msg}
+			switch o.to {
+			case toNbrs:
+				for _, u := range e.g.Adj(sid) {
+					inbox[off[u+1]] = in
+					off[u+1]++
+				}
+			case toAll:
+				for u := 0; u < sid; u++ {
+					inbox[off[u+1]] = in
+					off[u+1]++
+				}
+				for u := sid + 1; u < n; u++ {
+					inbox[off[u+1]] = in
+					off[u+1]++
+				}
+			default:
+				inbox[off[o.to+1]] = in
+				off[o.to+1]++
+			}
+		}
+		nd.out = nd.out[:0]
 	}
 	e.senders = e.senders[:0]
-	e.lastBits, e.lastMsgs, e.lastMaxLink = roundBits, roundMsgs, maxLink
-	e.stats.Messages += roundMsgs
-	if roundBits > e.stats.MaxRoundBits {
-		e.stats.MaxRoundBits = roundBits
-	}
-	if roundMsgs > e.stats.MaxRoundMessages {
-		e.stats.MaxRoundMessages = roundMsgs
-	}
 }

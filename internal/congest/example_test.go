@@ -17,7 +17,7 @@ func (p *sumProgram) Step(nd *congest.Node) (bool, error) {
 		return false, nil
 	}
 	for _, in := range nd.Recv() {
-		p.sum += int(in.Msg.(congest.Int).V)
+		p.sum += int(in.Msg.A)
 	}
 	return true, nil
 }
@@ -54,7 +54,7 @@ type minProgram struct {
 
 func (p *minProgram) Step(nd *congest.Node) (bool, error) {
 	for _, in := range nd.Recv() {
-		if v := in.Msg.(congest.Int).V; v < p.best {
+		if v := in.Msg.A; v < p.best {
 			p.best = v
 		}
 	}

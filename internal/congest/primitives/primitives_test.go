@@ -230,7 +230,7 @@ func TestGatherAtRootContentIntegrity(t *testing.T) {
 	}
 	counts := map[int64]int{}
 	for _, m := range res.Outputs[0] {
-		counts[m.(congest.Int).V]++
+		counts[m.A]++
 	}
 	for v := 0; v < g.N(); v++ {
 		if counts[int64(v)] != 1 {
@@ -248,7 +248,7 @@ func TestGatherRoundsLinearInItems(t *testing.T) {
 		res, err := runStages(congest.Config{Graph: g}, func(nd *congest.Node) *stage[[]congest.Message] {
 			items := make([]congest.Message, c)
 			for i := range items {
-				items[i] = congest.Flag{}
+				items[i] = congest.Flag()
 			}
 			return gatherStage(nd, items)
 		})
@@ -339,7 +339,7 @@ func TestFloodItemsFromRoot(t *testing.T) {
 			for v, got := range res.Outputs {
 				vals := make([]int64, 0, len(got))
 				for _, m := range got {
-					vals = append(vals, m.(congest.Int).V)
+					vals = append(vals, m.A)
 				}
 				if fmt.Sprint(vals) != "[7 3 11]" {
 					t.Fatalf("node %d received %v (order must be preserved)", v, vals)

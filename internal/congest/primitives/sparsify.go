@@ -151,14 +151,13 @@ func (s *StepSparsify) Step(nd *congest.Node) bool {
 	if s.slice >= 1 {
 		adopted := false
 		for _, in := range nd.Recv() {
-			m, ok := in.Msg.(congest.Int)
-			if !ok {
+			if in.Msg.Kind != congest.KindInt {
 				continue
 			}
 			if s.nbrLabel == nil {
 				s.nbrLabel = make(map[int]int)
 			}
-			s.nbrLabel[in.From] = int(m.V)
+			s.nbrLabel[in.From] = int(in.Msg.A)
 			if s.label < 0 && s.slice+1 <= s.maxLabel {
 				// Senders of the previous slice carry label slice, so this
 				// node sits at the next layer (beyond ⌊r/2⌋ the layering is
@@ -171,7 +170,7 @@ func (s *StepSparsify) Step(nd *congest.Node) bool {
 			// Every label sender of the adoption slice sits one layer up —
 			// exactly the nodes this deepest layer must announce itself to.
 			for _, in := range nd.Recv() {
-				if _, ok := in.Msg.(congest.Int); ok {
+				if in.Msg.Kind == congest.KindInt {
 					s.targets = append(s.targets, in.From)
 				}
 			}

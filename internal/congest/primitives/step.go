@@ -41,8 +41,8 @@
 // zero value is ready, Restart takes the constructor's arguments and begins
 // a fresh run (each New* constructor is new plus Restart), and a restarted
 // primitive keeps the buffers it grew. A program that embeds them by value
-// therefore allocates nothing per flood in steady state beyond boxing the
-// messages it sends; TestStepPrimitivesRestartMatchesFresh holds every
+// therefore allocates nothing per flood in steady state (messages are
+// plain values); TestStepPrimitivesRestartMatchesFresh holds every
 // restarted run to a freshly constructed one.
 package primitives
 
@@ -94,7 +94,7 @@ func NewStepMinIDLeader(nd *congest.Node) *StepMinIDLeader {
 func (s *StepMinIDLeader) Step(nd *congest.Node) bool {
 	if s.r > 0 {
 		for _, in := range nd.Recv() {
-			if v := in.Msg.(congest.Int).V; v < s.best {
+			if v := in.Msg.A; v < s.best {
 				s.best = v
 			}
 		}
@@ -154,11 +154,11 @@ func (s *StepBFSTree) Step(nd *congest.Node) bool {
 		}
 	}
 	if s.r < s.n && s.announce {
-		nd.BroadcastNeighbors(congest.Flag{})
+		nd.BroadcastNeighbors(congest.Flag())
 		s.announce = false
 	}
 	if s.r == s.n && s.t.Parent != -1 {
-		nd.MustSend(s.t.Parent, congest.Flag{})
+		nd.MustSend(s.t.Parent, congest.Flag())
 	}
 	s.r++
 	return false
@@ -190,8 +190,8 @@ func NewStepConvergecastSum(nd *congest.Node, t *Tree, value int64) *StepConverg
 func (s *StepConvergecastSum) Step(nd *congest.Node) bool {
 	if s.r >= 1 {
 		for _, in := range nd.Recv() {
-			if m, ok := in.Msg.(congest.Int); ok && contains(s.t.Children, in.From) {
-				s.acc += m.V
+			if in.Msg.Kind == congest.KindInt && contains(s.t.Children, in.From) {
+				s.acc += in.Msg.A
 				s.pending--
 			}
 		}
@@ -240,7 +240,7 @@ func NewStepBroadcastFromRoot(nd *congest.Node, t *Tree, value int64) *StepBroad
 func (s *StepBroadcastFromRoot) Step(nd *congest.Node) bool {
 	if s.r >= 1 && !s.have {
 		if m, ok := nd.RecvFrom(s.t.Parent); ok {
-			s.v = m.(congest.Int).V
+			s.v = m.A
 			s.have = true
 			s.relay = true
 		}
@@ -468,7 +468,7 @@ func NewStepRHopMax(value int64, hops int) *StepHopMax {
 func (s *StepHopMax) Step(nd *congest.Node) bool {
 	if s.r >= 1 {
 		for _, in := range nd.Recv() {
-			if v := in.Msg.(congest.Int).V; v > s.m {
+			if v := in.Msg.A; v > s.m {
 				s.m = v
 			}
 		}
@@ -516,12 +516,12 @@ func (s *StepMinFlood) Restart(own int64, width int) {
 func (s *StepMinFlood) Step(nd *congest.Node) bool {
 	if s.r == 1 {
 		for _, in := range nd.Recv() {
-			m, ok := in.Msg.(congest.Int)
-			if !ok {
+			m := in.Msg
+			if m.Kind != congest.KindInt {
 				continue
 			}
-			if s.best < 0 || m.V < s.best {
-				s.best = m.V
+			if s.best < 0 || m.A < s.best {
+				s.best = m.A
 			}
 		}
 		return true
@@ -537,14 +537,14 @@ func (s *StepMinFlood) Step(nd *congest.Node) bool {
 // done.
 func (s *StepMinFlood) Min() int64 { return s.best }
 
-// RankID is StepRankFlood's message: a (rank, id) pair with explicit widths.
-type RankID struct {
-	Rank, ID       int64
-	WidthR, WidthI int
-}
-
-// Bits returns the total declared width.
-func (m RankID) Bits() int { return m.WidthR + m.WidthI }
+// The message kinds of the step primitives (see congest.KindUser).
+const (
+	// KindRankID is StepRankFlood's message: a (rank, id) pair in (A, B).
+	KindRankID = congest.KindUser + iota
+	// KindCandMin is StepCandidateMinFlood's message: a candidate id in A
+	// plus its quantized sample in B.
+	KindCandMin
+)
 
 // StepRankFlood is one round of lexicographic (rank, id) minimum aggregation
 // over G-neighbors; rank < 0 means "no value". It also records which
@@ -577,13 +577,13 @@ func (s *StepRankFlood) Restart(rank, id int64, rankW, idW int) {
 func (s *StepRankFlood) Step(nd *congest.Node) bool {
 	if s.r == 1 {
 		for _, in := range nd.Recv() {
-			m, ok := in.Msg.(RankID)
-			if !ok {
+			m := in.Msg
+			if m.Kind != KindRankID {
 				continue
 			}
 			s.senders = append(s.senders, in.From)
-			if s.rank < 0 || m.Rank < s.rank || (m.Rank == s.rank && m.ID < s.id) {
-				s.rank, s.id = m.Rank, m.ID
+			if s.rank < 0 || m.A < s.rank || (m.A == s.rank && m.B < s.id) {
+				s.rank, s.id = m.A, m.B
 				s.bestFrom = in.From
 			}
 		}
@@ -593,7 +593,7 @@ func (s *StepRankFlood) Step(nd *congest.Node) bool {
 		return true
 	}
 	if s.rank >= 0 {
-		nd.BroadcastNeighbors(RankID{Rank: s.rank, ID: s.id, WidthR: s.wR, WidthI: s.wI})
+		nd.BroadcastNeighbors(congest.Pack(KindRankID, s.rank, s.wR, s.id, s.wI))
 	}
 	s.r = 1
 	return false
@@ -615,16 +615,6 @@ func (s *StepRankFlood) Senders() []int { return s.senders }
 // vote estimator routes along (see NewStepCandidateMinFloodRoutes). Valid
 // once done.
 func (s *StepRankFlood) BestFrom() int { return s.bestFrom }
-
-// CandMin is StepCandidateMinFlood's message: a candidate id plus a
-// quantized sample.
-type CandMin struct {
-	Cand, Q        int64
-	WidthC, WidthQ int
-}
-
-// Bits returns the total declared width.
-func (m CandMin) Bits() int { return m.WidthC + m.WidthQ }
 
 // CandRoute records one adoption event of the chained rank floods: this
 // node first held candidate Cand as its running best after Lvl flood stages,
@@ -790,13 +780,13 @@ func (s *StepCandidateMinFlood) Step(nd *congest.Node) bool {
 	case s.r == 0:
 		if s.own >= 0 {
 			s.fold(int64(s.voteFor), s.own)
-			nd.BroadcastNeighbors(CandMin{Cand: int64(s.voteFor), Q: s.own, WidthC: s.wC, WidthQ: s.wQ})
+			nd.BroadcastNeighbors(congest.Pack(KindCandMin, int64(s.voteFor), s.wC, s.own, s.wQ))
 		}
 	case s.r < s.hops:
 		s.mergeRecv(nd)
 		for _, u := range s.candNbrs {
 			if q, ok := s.minOf(int64(u)); ok {
-				nd.MustSend(u, CandMin{Cand: int64(u), Q: q, WidthC: s.wC, WidthQ: s.wQ})
+				nd.MustSend(u, congest.Pack(KindCandMin, int64(u), s.wC, q, s.wQ))
 			}
 		}
 	default:
@@ -805,12 +795,12 @@ func (s *StepCandidateMinFlood) Step(nd *congest.Node) bool {
 				s.best = q
 			}
 			for _, in := range nd.Recv() {
-				m, ok := in.Msg.(CandMin)
-				if !ok || m.Cand != int64(nd.ID()) {
+				m := in.Msg
+				if m.Kind != KindCandMin || m.A != int64(nd.ID()) {
 					continue
 				}
-				if s.best < 0 || m.Q < s.best {
-					s.best = m.Q
+				if s.best < 0 || m.B < s.best {
+					s.best = m.B
 				}
 			}
 		}
@@ -842,7 +832,7 @@ func (s *StepCandidateMinFlood) stepRouted(nd *congest.Node) bool {
 	}
 	if rt := s.byLvl[s.hops-s.r]; rt.From >= 0 {
 		if q, have := s.minOf(int64(rt.Cand)); have {
-			nd.MustSend(rt.From, CandMin{Cand: int64(rt.Cand), Q: q, WidthC: s.wC, WidthQ: s.wQ})
+			nd.MustSend(rt.From, congest.Pack(KindCandMin, int64(rt.Cand), s.wC, q, s.wQ))
 		}
 	}
 	s.r++
@@ -852,8 +842,8 @@ func (s *StepCandidateMinFlood) stepRouted(nd *congest.Node) bool {
 // mergeRecv folds this slice's deliveries into the per-candidate minima.
 func (s *StepCandidateMinFlood) mergeRecv(nd *congest.Node) {
 	for _, in := range nd.Recv() {
-		if m, ok := in.Msg.(CandMin); ok {
-			s.fold(m.Cand, m.Q)
+		if in.Msg.Kind == KindCandMin {
+			s.fold(in.Msg.A, in.Msg.B)
 		}
 	}
 }
@@ -901,7 +891,7 @@ func NewStepStatusExchange(status bool) *StepStatusExchange {
 func (s *StepStatusExchange) Step(nd *congest.Node) bool {
 	if s.r == 1 {
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.A == 1 {
 				s.on = append(s.on, in.From)
 			}
 		}
@@ -981,7 +971,7 @@ func (s *StepVotingPhase) Step(nd *congest.Node) bool {
 	case 1: // count live neighbors; clique: start the global OR
 		s.dR = 0
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.A == 1 {
 				s.dR++
 			}
 		}
@@ -996,7 +986,7 @@ func (s *StepVotingPhase) Step(nd *congest.Node) bool {
 	case 2: // clique only: read the OR; terminate, or announce ranks
 		any := s.candidate
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.A == 1 {
 				any = true
 			}
 		}
@@ -1012,14 +1002,14 @@ func (s *StepVotingPhase) Step(nd *congest.Node) bool {
 		var bestRank int64 = -1
 		if s.inR {
 			for _, in := range nd.Recv() {
-				m, ok := in.Msg.(congest.Int)
-				if !ok {
+				m := in.Msg
+				if m.Kind != congest.KindInt {
 					continue
 				}
 				// Highest rank wins; ties break toward the higher id
 				// (deterministic, consistent at every voter).
-				if m.V > bestRank || (m.V == bestRank && in.From > s.voteFor) {
-					bestRank = m.V
+				if m.A > bestRank || (m.A == bestRank && in.From > s.voteFor) {
+					bestRank = m.A
 					s.voteFor = in.From
 				}
 			}
@@ -1031,12 +1021,12 @@ func (s *StepVotingPhase) Step(nd *congest.Node) bool {
 	default: // count votes; successful candidates retire their neighborhoods
 		votes := 0
 		for _, in := range nd.Recv() {
-			if m, ok := in.Msg.(congest.Int); ok && int(m.V) == nd.ID() {
+			if in.Msg.Kind == congest.KindInt && int(in.Msg.A) == nd.ID() {
 				votes++
 			}
 		}
 		if s.candidate && votes*8 >= s.dR {
-			nd.BroadcastNeighbors(congest.Flag{})
+			nd.BroadcastNeighbors(congest.Flag())
 			s.succeeded = true
 		}
 		nd.SpanEnd("phase1-iter", s.it)
@@ -1131,7 +1121,7 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 		if s.it < 0 {
 			s.nbrWeight = make(map[int]int64, nd.Degree())
 			for _, in := range nd.Recv() {
-				s.nbrWeight[in.From] = in.Msg.(congest.Int).V
+				s.nbrWeight[in.From] = in.Msg.A
 			}
 			s.inRNbr = make(map[int]bool, nd.Degree())
 			for _, u := range nd.Neighbors() {
@@ -1153,7 +1143,7 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 		}
 	case wlrStatus:
 		for _, in := range nd.Recv() {
-			s.inRNbr[in.From] = in.Msg.(congest.Int).V == 1
+			s.inRNbr[in.From] = in.Msg.A == 1
 		}
 		s.ripe = s.selector(nd, s.nbrWeight, s.inRNbr)
 		val := int64(0)
@@ -1169,13 +1159,13 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 		}
 		if len(s.ripe) > 0 && s.hop.Max() == int64(nd.ID())+1 {
 			for _, u := range s.ripe {
-				nd.MustSend(u, congest.Flag{})
+				nd.MustSend(u, congest.Flag())
 			}
 		}
 		s.sub = wlrJoin
 	default: // wlrFinal
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.A == 1 {
 				s.uNbrs = append(s.uNbrs, in.From)
 			}
 		}
@@ -1304,7 +1294,7 @@ func (s *StepCliqueLeader) Step(nd *congest.Node) bool {
 		}
 		return true
 	}
-	nd.Broadcast(congest.Flag{})
+	nd.Broadcast(congest.Flag())
 	s.r = 1
 	return false
 }

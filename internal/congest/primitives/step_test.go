@@ -61,7 +61,7 @@ func (p *stepPipeline) Step(nd *congest.Node) (bool, error) {
 			if nd.ID() == p.out.Leader {
 				sum := int64(0)
 				for _, m := range gathered {
-					sum += m.(congest.Int).V
+					sum += m.A
 				}
 				down = []congest.Message{congest.NewInt(sum), congest.NewIntWidth(int64(len(gathered)), w)}
 			}

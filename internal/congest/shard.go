@@ -3,11 +3,10 @@ package congest
 import "sync"
 
 // The sharded sweep: Config.Shards > 1 splits the per-round node sweep into
-// contiguous node-id ranges advanced by a
-// persistent worker pool, while everything with cross-node visibility —
-// message delivery, statistics, span reference counting, tracer events,
-// error selection — stays on the coordinator goroutine at the round
-// barrier.
+// contiguous node-id ranges advanced by a persistent worker pool, while
+// everything with cross-node visibility — message delivery, statistics,
+// span reference counting, tracer events, error selection — stays on the
+// coordinator goroutine at the round barrier.
 //
 // Determinism is the whole design: the sequential sweep steps nodes in
 // ascending id order and its observable side effects (sender registration
@@ -26,11 +25,10 @@ import "sync"
 
 // spanMark is one staged SpanBegin/SpanEnd call recorded during a sharded
 // sweep, replayed against the engine's span reference counts at the
-// barrier.
+// barrier (still within the mark's round).
 type spanMark struct {
 	name  string
 	index int
-	round int
 	end   bool
 }
 
@@ -38,8 +36,8 @@ type spanMark struct {
 // it during a sweep; only the coordinator touches it between sweeps. The
 // trailing pad keeps adjacent shardStates out of each other's cache lines.
 type shardState struct {
-	lo, hi int // node-id range [lo, hi)
-	live   int // nodes of this shard still running
+	lo, hi   int // node-id range [lo, hi)
+	finished int // nodes of this shard that finished in the last sweep
 
 	// senders lists the shard's nodes that queued messages this round, in
 	// ascending id order (the in-shard sweep order).
@@ -53,97 +51,71 @@ type shardState struct {
 	_ [64]byte // false-sharing pad
 }
 
-// runSharded is run's control flow with the node sweep fanned out across a
-// persistent worker pool. Round counting, the MaxRounds check, the "deliver
-// only if someone is still running" rule, and the order of error checks are
-// identical to the sequential loop.
-func (e *engine) runSharded(step func(nd *Node) bool) error {
+// startShards starts one persistent worker per shard, each running sweep on
+// its own node range whenever the coordinator starts a round. It returns
+// the coordinator's round sweep — start every worker, wait for all, merge
+// the staged side effects — and the function that stops the pool.
+func (e *engine) startShards(sweep func(lo, hi int) int) (sweepRound func() int, stop func()) {
 	n := len(e.nodes)
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
 	e.shardStates = make([]shardState, e.shards)
 	starts := make([]chan struct{}, e.shards)
 	var wg sync.WaitGroup
-	for k := 0; k < e.shards; k++ {
+	for k := range e.shardStates {
 		sh := &e.shardStates[k]
 		sh.lo, sh.hi = k*n/e.shards, (k+1)*n/e.shards
-		sh.live = sh.hi - sh.lo
 		for i := sh.lo; i < sh.hi; i++ {
 			e.nodes[i].sh = sh
 		}
 		starts[k] = make(chan struct{}, 1)
-		go func(start <-chan struct{}, sh *shardState) {
+		go func(start <-chan struct{}) {
 			// One worker per shard for the whole run, so every node is
 			// always stepped by the same goroutine.
 			for range start {
-				for i := sh.lo; i < sh.hi; i++ {
-					if !alive[i] {
-						continue
-					}
-					if step(e.nodes[i]) {
-						alive[i] = false
-						sh.live--
-					}
-				}
+				sh.finished = sweep(sh.lo, sh.hi)
 				wg.Done()
 			}
-		}(starts[k], sh)
+		}(starts[k])
 	}
-	defer func() {
-		for _, c := range starts {
-			close(c)
-		}
-	}()
-	for round := 0; ; round++ {
-		if round > e.maxRounds {
-			return errMaxRounds(e.maxRounds)
-		}
-		if err := e.ctxErr(); err != nil {
-			return err
-		}
-		e.stamp = round + 1
+	sweepRound = func() int {
 		wg.Add(e.shards)
 		for _, c := range starts {
 			c <- struct{}{}
 		}
 		wg.Wait()
-		// Barrier merge, in shard order = ascending node-id order. Span
-		// marks replay before the error check so an aborting run has
-		// emitted exactly the span events the sequential sweep had at its
-		// abort point.
-		live := 0
-		var firstErr error
-		for k := range e.shardStates {
-			sh := &e.shardStates[k]
-			live += sh.live
-			e.senders = append(e.senders, sh.senders...)
-			sh.senders = sh.senders[:0]
-			for _, mk := range sh.marks {
-				if mk.end {
-					e.spanEnd(mk.name, mk.index, mk.round)
-				} else {
-					e.spanBegin(mk.name, mk.index, mk.round)
-				}
-			}
-			sh.marks = sh.marks[:0]
-			if sh.err != nil && firstErr == nil {
-				firstErr = sh.err
-			}
-			sh.err = nil
-		}
-		if firstErr != nil {
-			e.setErr(firstErr)
-		}
-		if err := e.getErr(); err != nil {
-			return err
-		}
-		if live == 0 {
-			return nil
-		}
-		e.stats.Rounds++
-		e.deliver()
-		e.traceRound(round, live)
+		return e.mergeShards()
 	}
+	stop = func() {
+		for _, c := range starts {
+			close(c)
+		}
+	}
+	return sweepRound, stop
+}
+
+// mergeShards is the barrier merge, in shard order = ascending node-id
+// order: it concatenates the sender lists, replays the span marks, adopts
+// the lowest shard's error, and returns how many nodes finished. Span marks
+// replay before the round loop's error check so an aborting run has
+// emitted exactly the span events the sequential sweep had at its abort
+// point.
+func (e *engine) mergeShards() (finished int) {
+	for k := range e.shardStates {
+		sh := &e.shardStates[k]
+		finished += sh.finished
+		e.senders = append(e.senders, sh.senders...)
+		sh.senders = sh.senders[:0]
+		for _, mk := range sh.marks {
+			if mk.end {
+				e.spanEnd(mk.name, mk.index)
+			} else {
+				e.spanBegin(mk.name, mk.index)
+			}
+		}
+		sh.marks = sh.marks[:0]
+		if sh.err != nil && e.firstErr == nil {
+			e.firstErr = sh.err
+		}
+		sh.err = nil
+	}
+	return finished
 }

@@ -30,7 +30,7 @@ func (p *probeProg) Step(nd *Node) (bool, error) {
 		nd.SpanBegin("probe", 0)
 	}
 	for _, in := range nd.Recv() {
-		p.sum += in.Msg.(Int).V
+		p.sum += in.Msg.A
 	}
 	if r >= p.rounds {
 		nd.SpanEnd("probe", 0)

@@ -379,7 +379,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			}
 			// Step 6: rpow-round coverage flood from new members.
 			if p.joined {
-				nd.BroadcastNeighbors(congest.Flag{})
+				nd.BroadcastNeighbors(congest.Flag())
 			}
 			nd.SpanEnd("mds-votes", p.phase)
 			p.covRound = 0
@@ -392,7 +392,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 					p.covered = true
 				}
 				if relay {
-					nd.BroadcastNeighbors(congest.Flag{})
+					nd.BroadcastNeighbors(congest.Flag())
 				}
 				p.covRound++
 				return false, nil

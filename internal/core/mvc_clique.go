@@ -116,7 +116,7 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 		case cliqueDetDR:
 			dR := 0
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.A == 1 {
 					dR++
 				}
 			}
@@ -128,7 +128,7 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 		case cliqueDetOR:
 			any := p.candidate
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.A == 1 {
 					any = true
 				}
 			}
@@ -151,7 +151,7 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 				return false, nil
 			}
 			if p.candidate && p.hop.Max() == int64(nd.ID())+1 {
-				nd.BroadcastNeighbors(congest.Flag{})
+				nd.BroadcastNeighbors(congest.Flag())
 				p.inC = false
 			}
 			nd.SpanEnd("phase1-iter", p.it)
@@ -269,7 +269,7 @@ func (p *cliqueStepPhaseII) Step(nd *congest.Node) bool {
 				p.inCover = cover.Contains(nd.ID())
 				cover.ForEach(func(v int) bool {
 					if v != nd.ID() {
-						nd.MustSend(v, congest.Flag{})
+						nd.MustSend(v, congest.Flag())
 					}
 					return true
 				})

@@ -137,7 +137,7 @@ func (p *mvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 				return false, nil
 			}
 			for _, m := range p.pipe.Items() {
-				if m.(congest.Int).V == int64(nd.ID()) {
+				if m.A == int64(nd.ID()) {
 					p.inRStar = true
 				}
 			}
@@ -158,7 +158,7 @@ func (p *mvcCongestProgram) stepPhaseI(nd *congest.Node) bool {
 	case p.sr == 4*p.iterations+1:
 		// Final status exchange: learn which neighbors are in U = V \ S.
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.A == 1 {
 				p.uNbrs = append(p.uNbrs, in.From)
 			}
 		}
@@ -179,7 +179,7 @@ func (p *mvcCongestProgram) stepPhaseI(nd *congest.Node) bool {
 			// Algorithm 1). First slice of the 2-hop max: flood own value.
 			dR := 0
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.A == 1 {
 					dR++
 				}
 			}
@@ -193,7 +193,7 @@ func (p *mvcCongestProgram) stepPhaseI(nd *congest.Node) bool {
 		case 1:
 			// Second slice of the 2-hop max: flood the 1-hop maximum.
 			for _, in := range nd.Recv() {
-				if v := in.Msg.(congest.Int).V; v > p.maxVal {
+				if v := in.Msg.A; v > p.maxVal {
 					p.maxVal = v
 				}
 			}
@@ -201,13 +201,13 @@ func (p *mvcCongestProgram) stepPhaseI(nd *congest.Node) bool {
 		case 2:
 			// Selected centers (2-hop maxima) move N(c) into S.
 			for _, in := range nd.Recv() {
-				if v := in.Msg.(congest.Int).V; v > p.maxVal {
+				if v := in.Msg.A; v > p.maxVal {
 					p.maxVal = v
 				}
 			}
 			p.selected = p.candidate && p.maxVal == int64(nd.ID())+1
 			if p.selected {
-				nd.Broadcast(congest.Flag{})
+				nd.Broadcast(congest.Flag())
 				p.inC = false
 			}
 		case 3:
@@ -233,8 +233,7 @@ func (p *mvcCongestProgram) stepPhaseI(nd *congest.Node) bool {
 func leaderSolveRemainder(n int, gathered []congest.Message, solver LocalSolver) *bitset.Set {
 	u := bitset.New(n)
 	b := graph.NewBuilder(n)
-	for _, m := range gathered {
-		p := m.(congest.Pair)
+	for _, p := range gathered {
 		u.Add(int(p.B))
 		if _, err := b.AddEdgeIfAbsent(int(p.A), int(p.B)); err != nil {
 			panic(err) // malformed item: an engine/protocol bug, not user input

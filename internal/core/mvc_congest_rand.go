@@ -137,7 +137,7 @@ func (p *mvcRandCongestProgram) Step(nd *congest.Node) (bool, error) {
 				return false, nil
 			}
 			for _, m := range p.pipe.Items() {
-				if m.(congest.Int).V == int64(nd.ID()) {
+				if m.A == int64(nd.ID()) {
 					p.inRStar = true
 				}
 			}

@@ -10,16 +10,20 @@ import (
 	"powergraph/internal/graph"
 )
 
-// edgeOrWeight is the Phase-II gather item of the weighted algorithm: either
-// an F-edge report {A,B} with B ∈ U, or a weight report (A = vertex, B =
-// its weight). One tag bit distinguishes them.
-type edgeOrWeight struct {
-	IsWeight bool
-	A, B     int64
-	WA, WB   int
-}
+// The Phase-II gather items of the weighted algorithm: either an F-edge
+// report {A,B} with B ∈ U, or a weight report (A = vertex, B = its
+// weight). One tag bit on the wire distinguishes them.
+const (
+	kindEdgeItem = congest.KindUser + 8 + iota
+	kindWeightItem
+)
 
-func (m edgeOrWeight) Bits() int { return 1 + m.WA + m.WB }
+// edgeOrWeight packs one weighted gather item of the given kind.
+func edgeOrWeight(kind congest.Kind, a int64, wa int, b int64, wb int) congest.Message {
+	m := congest.Pack(kind, a, wa, b, wb)
+	m.TagBits = 1
+	return m
+}
 
 // ApproxMWVCCongest runs the weighted variant of Algorithm 1 (Theorem 7): a
 // deterministic (1+ε)-approximation for minimum weighted vertex cover on
@@ -192,10 +196,10 @@ type mwvcCongestProgram struct {
 func (p *mwvcCongestProgram) weightedItems(nd *congest.Node, edgeNbrs []int) []congest.Message {
 	items := make([]congest.Message, 0, len(edgeNbrs)+1)
 	for _, u := range edgeNbrs {
-		items = append(items, edgeOrWeight{A: int64(nd.ID()), B: int64(u), WA: p.idw, WB: p.idw})
+		items = append(items, edgeOrWeight(kindEdgeItem, int64(nd.ID()), p.idw, int64(u), p.idw))
 	}
 	if p.phase1.InR() {
-		items = append(items, edgeOrWeight{IsWeight: true, A: int64(nd.ID()), B: nd.Weight(), WA: p.idw, WB: p.maxWBits})
+		items = append(items, edgeOrWeight(kindWeightItem, int64(nd.ID()), p.idw, nd.Weight(), p.maxWBits))
 	}
 	return items
 }
@@ -235,7 +239,7 @@ func (p *mwvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 				return false, nil
 			}
 			for _, m := range p.pipe.Items() {
-				if m.(congest.Int).V == int64(nd.ID()) {
+				if m.A == int64(nd.ID()) {
 					p.inRStar = true
 				}
 			}
@@ -254,9 +258,8 @@ func leaderSolveWeightedRemainder(n int, gathered []congest.Message, solver Loca
 	u := bitset.New(n)
 	weights := make(map[int]int64)
 	b := graph.NewBuilder(n)
-	for _, m := range gathered {
-		p := m.(edgeOrWeight)
-		if p.IsWeight {
+	for _, p := range gathered {
+		if p.Kind == kindWeightItem {
 			u.Add(int(p.A))
 			weights[int(p.A)] = p.B
 			continue

@@ -70,8 +70,7 @@ func powerEdgeItems(nd *congest.Node, sp *primitives.StepSparsify, inU bool) []c
 func leaderSolvePowerRemainder(n, r int, gathered []congest.Message, solver LocalSolver) *bitset.Set {
 	u := bitset.New(n)
 	b := graph.NewBuilder(n)
-	for _, m := range gathered {
-		p := m.(congest.Pair)
+	for _, p := range gathered {
 		if p.A == p.B {
 			u.Add(int(p.A))
 			continue
@@ -104,9 +103,8 @@ func leaderSolveWeightedPowerRemainder(n, r int, gathered []congest.Message, sol
 	u := bitset.New(n)
 	weights := make(map[int]int64)
 	b := graph.NewBuilder(n)
-	for _, m := range gathered {
-		p := m.(edgeOrWeight)
-		if p.IsWeight {
+	for _, p := range gathered {
+		if p.Kind == kindWeightItem {
 			u.Add(int(p.A))
 			weights[int(p.A)] = p.B
 			continue

@@ -60,8 +60,7 @@ type Tracer interface {
 	RunEnd(RunEnd)
 	// WantRounds reports whether this tracer wants per-round events. The
 	// engine samples it once at run start; returning false lets span-only
-	// tracers skip the per-round accounting (max single-link bits requires
-	// an inbox walk every round).
+	// tracers skip one Round call per round.
 	WantRounds() bool
 }
 
