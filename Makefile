@@ -72,8 +72,9 @@ bench-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
-# The engine's hot loop: full neighbor exchange by a step program, in
-# ns/node-round (see internal/congest/bench_test.go).
+# The engine's hot loop in ns/node-round: full neighbor exchange
+# ("program"), CONGESTED CLIQUE broadcast ("clique", n <= 1024) and steps
+# with no sends ("quiet") (see internal/congest/bench_test.go).
 bench-engine:
 	$(GO) test -bench=BenchmarkEngineModes -benchmem -run='^$$' ./internal/congest/
 
@@ -87,7 +88,7 @@ bench-incpower:
 # Observability overhead on the engine hot loop: nil tracer ("off") vs
 # span-only vs full per-round accounting (see
 # internal/congest/bench_obs_test.go). The "off" rows are directly comparable
-# to bench-engine's rows — the disabled-tracer contract is <2% and zero
+# to bench-engine's "program" rows — the disabled-tracer contract is <2% and zero
 # added allocations.
 bench-obs:
 	$(GO) test -bench=BenchmarkObs -benchmem -run='^$$' ./internal/congest/
