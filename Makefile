@@ -96,8 +96,10 @@ bench-obs:
 # Kernelize-then-solve vs the raw branch and bound on leader-shaped
 # instances (squares of sparse graphs): solve time, search nodes, kernel
 # size after reductions, and whether the raw search exhausts the stress
-# budget; then the raw search alone on G² of G(150, c/150), whose
-# allocs/op stay flat in the node count.
+# budget; the reduction rules alone (KernelizeOnly) on the squares of
+# weighted 2000- and 20 000-vertex trees, the larger the oracle's shape;
+# then the raw search alone on G² of G(150, c/150), whose allocs/op stay
+# flat in the node count.
 bench-kernel:
 	$(GO) test -bench='BenchmarkKernel' -benchmem -run='^$$' ./internal/kernel/
 	$(GO) test -bench='BenchmarkVertexCoverSearch' -benchmem -run='^$$' ./internal/exact/

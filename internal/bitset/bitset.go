@@ -1,10 +1,12 @@
 // Package bitset provides a fixed-capacity bitset backed by 64-bit words.
 //
-// It is the storage substrate for adjacency rows in internal/graph and for
+// Set is the storage substrate for adjacency rows in internal/graph and for
 // the branch-and-bound solvers in internal/exact, where dense bit-parallel
 // set operations (intersection, difference, popcount) dominate the running
-// time. All operations treat the set as a subset of {0, …, n-1} where n is
-// the capacity fixed at construction.
+// time. Sparse stores only a set's nonzero words; it is the row type of the
+// vertex-cover kernel, whose rows are few words out of n/64. All operations
+// treat the set as a subset of {0, …, n-1} where n is the capacity fixed at
+// construction.
 package bitset
 
 import (

@@ -61,3 +61,40 @@ func BenchmarkVertexCoverSearch(b *testing.B) {
 		})
 	}
 }
+
+// setCoverCorpus is the set-cover allocation guard's instance set: the
+// dominating-set instances of weighted G(60, c/60) for c ∈ {2, 3} and of a
+// weighted random 60-vertex tree, which the search cracks in thousands
+// of nodes.
+func setCoverCorpus() []searchInstance {
+	const n = 60
+	var out []searchInstance
+	for _, c := range []int{2, 3} {
+		g := graph.ConnectedGNP(n, float64(c)/n, rand.New(rand.NewSource(int64(1000*c+n))))
+		g = graph.WithRandomWeights(g, 40, rand.New(rand.NewSource(int64(1000*c+n+1))))
+		out = append(out, searchInstance{fmt.Sprintf("wgnp-n%d-c%d", n, c), g})
+	}
+	tree := graph.WithRandomWeights(graph.RandomTree(n, rand.New(rand.NewSource(5))), 40, rand.New(rand.NewSource(6)))
+	return append(out, searchInstance{fmt.Sprintf("wtree-n%d", n), tree})
+}
+
+// TestSetCoverSearchAllocsBounded pins the set-cover search's reuse
+// contract, as TestVertexCoverSearchAllocsBounded does the vertex-cover
+// one: scratch is allocated per call and grows with the depth reached,
+// never per search node, so a call stays under 10·n allocations however
+// many nodes it expands.
+func TestSetCoverSearchAllocsBounded(t *testing.T) {
+	for _, inst := range setCoverCorpus() {
+		g := inst.g
+		limit := float64(10 * g.N())
+
+		var nodes int64
+		allocs := testing.AllocsPerRun(1, func() {
+			_, nodes = DominatingSetCounted(g)
+		})
+		if allocs > limit {
+			t.Errorf("%s: search made %.0f allocations over %d nodes, want < %.0f",
+				inst.name, allocs, nodes, limit)
+		}
+	}
+}

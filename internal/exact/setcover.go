@@ -1,7 +1,9 @@
 package exact
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"powergraph/internal/bitset"
@@ -43,7 +45,7 @@ func SetCover(in *SetCoverInstance) []int {
 // kernel.Report.SearchNodes on the dominating-set path. On budget
 // exhaustion it returns ErrBudgetExceeded and no cover.
 func SetCoverBounded(in *SetCoverInstance, maxNodes int64) ([]int, int64, error) {
-	s := &scSolver{in: in, maxNodes: maxNodes, coverers: coverersOf(in)}
+	s := &scSolver{in: in, maxNodes: maxNodes, coverers: coverersOf(in), marked: bitset.New(len(in.Sets))}
 	for e := 0; e < in.UniverseSize; e++ {
 		if len(s.coverers[e]) == 0 {
 			return nil, 0, nil // infeasible: no set covers e
@@ -76,7 +78,8 @@ func SetCoverBounded(in *SetCoverInstance, maxNodes int64) ([]int, int64, error)
 			s.zero = append(s.zero, i)
 		}
 	}
-	if err := s.solve(covered, avail, nil, 0); err != nil {
+	s.frames = []*bitset.Set{covered}
+	if err := s.solve(0, avail, 0); err != nil {
 		return nil, s.nodes, err
 	}
 	out := make([]int, 0, len(s.zero)+len(s.best))
@@ -115,9 +118,13 @@ func SetCoverPackingBound(in *SetCoverInstance) int64 {
 	for i := range in.Sets {
 		avail.Add(i)
 	}
-	return packingBound(in, coverersOf(in), bitset.New(in.UniverseSize), avail)
+	return packingBound(in, coverersOf(in), bitset.New(in.UniverseSize), avail, bitset.New(len(in.Sets)))
 }
 
+// scSolver is one set-cover search. Its scratch — the packing bound's
+// marks, one covered-elements frame per depth, the chosen-set path and one
+// stack of candidate records shared by all depths — is allocated per call
+// and grows with the depth reached, never per search node.
 type scSolver struct {
 	in        *SetCoverInstance
 	coverers  [][]int
@@ -127,6 +134,25 @@ type scSolver struct {
 	zero      []int
 	nodes     int64
 	maxNodes  int64
+
+	marked *bitset.Set   // packingBound scratch
+	frames []*bitset.Set // frames[d]: elements covered at depth d
+	path   []int         // the sets chosen on the way to the current node
+	cands  []scCand      // candidate records; each node owns a suffix
+}
+
+// scCand is one branching candidate: a set, its gain (newly covered
+// elements) at the node, computed once, and its weight.
+type scCand struct {
+	set    int
+	gain   int
+	weight int64
+}
+
+// byGainPerWeight orders candidates by gain per unit weight, best first,
+// comparing cross products so zero weights need no division.
+func byGainPerWeight(a, b scCand) int {
+	return cmp.Compare(float64(b.gain)*float64(a.weight), float64(a.gain)*float64(b.weight))
 }
 
 // GreedySetCover returns the classical greedy cover: repeatedly take the
@@ -183,7 +209,7 @@ func (s *scSolver) lowerBound(covered, avail *bitset.Set) int64 {
 	need := (remaining + maxCover - 1) / maxCover
 	density := int64(need) * s.minWeight
 
-	packing := packingBound(s.in, s.coverers, covered, avail)
+	packing := packingBound(s.in, s.coverers, covered, avail, s.marked)
 	if packing > density {
 		return packing
 	}
@@ -192,9 +218,9 @@ func (s *scSolver) lowerBound(covered, avail *bitset.Set) int64 {
 
 // packingBound is the element-packing bound over the uncovered elements,
 // counting only the sets in avail; math.MaxInt64/4 if some uncovered element
-// has no available coverer.
-func packingBound(in *SetCoverInstance, coverers [][]int, covered, avail *bitset.Set) int64 {
-	marked := bitset.New(len(in.Sets))
+// has no available coverer. marked is scratch of capacity len(in.Sets).
+func packingBound(in *SetCoverInstance, coverers [][]int, covered, avail, marked *bitset.Set) int64 {
+	marked.Clear()
 	var packing int64
 	for e := 0; e < in.UniverseSize; e++ {
 		if covered.Contains(e) {
@@ -232,7 +258,11 @@ func packingBound(in *SetCoverInstance, coverers [][]int, covered, avail *bitset
 	return packing
 }
 
-func (s *scSolver) solve(covered, avail *bitset.Set, cur []int, cost int64) error {
+// solve expands the node at the given depth: the elements in
+// s.frames[depth] are covered, the sets in avail may still be chosen, and
+// the chosen sets (s.path) cost cost.
+func (s *scSolver) solve(depth int, avail *bitset.Set, cost int64) error {
+	covered := s.frames[depth]
 	s.nodes++
 	if s.maxNodes > 0 && s.nodes > s.maxNodes {
 		return ErrBudgetExceeded
@@ -242,7 +272,7 @@ func (s *scSolver) solve(covered, avail *bitset.Set, cur []int, cost int64) erro
 	}
 	if covered.Count() == s.in.UniverseSize {
 		s.bestCost = cost
-		s.best = append([]int(nil), cur...)
+		s.best = append(s.best[:0], s.path...)
 		return nil
 	}
 	if cost+s.lowerBound(covered, avail) >= s.bestCost {
@@ -272,29 +302,35 @@ func (s *scSolver) solve(covered, avail *bitset.Set, cur []int, cost int64) erro
 		return nil
 	}
 
-	cands := make([]int, 0, pickCount)
+	// This node's candidates are the suffix of s.cands from base on; deeper
+	// nodes append theirs after it and truncate back before returning.
+	base := len(s.cands)
 	for _, i := range s.coverers[pick] {
 		if avail.Contains(i) {
-			cands = append(cands, i)
+			set := s.in.Sets[i]
+			s.cands = append(s.cands, scCand{set: i, gain: set.Count() - set.IntersectionCount(covered), weight: s.in.weight(i)})
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		ga := s.in.Sets[cands[a]].Count() - s.in.Sets[cands[a]].IntersectionCount(covered)
-		gb := s.in.Sets[cands[b]].Count() - s.in.Sets[cands[b]].IntersectionCount(covered)
-		wa, wb := s.in.weight(cands[a]), s.in.weight(cands[b])
-		return float64(ga)*float64(wb) > float64(gb)*float64(wa)
-	})
-	var excluded []int
-	for _, i := range cands {
-		c2 := covered.Union(s.in.Sets[i])
-		avail.Remove(i)
-		if err := s.solve(c2, avail, append(cur, i), cost+s.in.weight(i)); err != nil {
+	cands := s.cands[base:]
+	slices.SortFunc(cands, byGainPerWeight)
+	if depth+1 == len(s.frames) {
+		s.frames = append(s.frames, bitset.New(s.in.UniverseSize))
+	}
+	next := s.frames[depth+1]
+	for _, c := range cands {
+		next.CopyFrom(covered)
+		next.Or(s.in.Sets[c.set])
+		avail.Remove(c.set)
+		s.path = append(s.path, c.set)
+		err := s.solve(depth+1, avail, cost+c.weight)
+		s.path = s.path[:depth]
+		if err != nil {
 			return err
 		}
-		excluded = append(excluded, i)
 	}
-	for _, i := range excluded {
-		avail.Add(i)
+	for _, c := range cands {
+		avail.Add(c.set)
 	}
+	s.cands = s.cands[:base]
 	return nil
 }

@@ -178,10 +178,10 @@ type Report struct {
 
 // Solver runs the kernelize-then-solve ladder with fixed knobs. The zero
 // value is ready to use (default knobs). A Solver carries configuration
-// only: every call builds its own working state — the kernel's dense rows
-// and degree counters once per call, the search's per-depth scratch once
-// per search — and shares nothing with other calls, so one Solver may serve
-// concurrent calls.
+// only: every call builds its own working state — the kernel's sparse rows
+// and degree counters once per call, O(n + m) words, the search's
+// per-depth scratch once per search — and shares nothing with other calls,
+// so one Solver may serve concurrent calls.
 type Solver struct {
 	cfg Config
 	// kernelOnly skips the direct rung, so the rules and the lift are under

@@ -6,20 +6,23 @@ import (
 )
 
 // vcKernel is the mutable working state of the vertex-cover kernelization:
-// adjacency bitsets (capacity fixed at the input size so original vertex ids
-// stay valid throughout) with their live degrees, per-vertex weights that the
-// pendant rule may reduce, the set of still-undecided vertices, and the
-// replay log that lifts a kernel cover back to a cover of the input graph.
-// The rules edit rows in place and test them without copies; the only
-// per-rule scratch is the fold's merged row, allocated once.
+// sparse adjacency rows (capacity fixed at the input size so original vertex
+// ids stay valid throughout, storage proportional to the degree) with their
+// live degrees, per-vertex weights that the pendant rule may reduce, the
+// set of still-undecided vertices, and the replay log that lifts a kernel
+// cover back to a cover of the input graph. The whole state is O(n + m)
+// words. The rules edit rows in place and test them without copies; the
+// per-rule scratch is the fold's merged row and the twin sweep's key
+// buffer.
 type vcKernel struct {
 	n      int
-	adj    []*bitset.Set
+	adj    []bitset.Sparse
 	deg    []int // deg[v] = |adj[v]|, kept in step with every row edit
 	weight []int64
 	alive  *bitset.Set
-	merged *bitset.Set // degree-2 fold scratch
-	offset int64       // weight committed by the rules: OPT(input) = OPT(kernel) + offset
+	merged bitset.Sparse // degree-2 fold scratch
+	key    []byte        // twin-sweep row key scratch
+	offset int64         // weight committed by the rules: OPT(input) = OPT(kernel) + offset
 	ops    []liftOp
 	// lpCut is the min-cut value (twice the LP optimum) of the surviving
 	// instance, recorded by the final reduceNT pass — the one that found
@@ -58,17 +61,15 @@ func newVCKernel(g *graph.Graph) *vcKernel {
 	n := g.N()
 	k := &vcKernel{
 		n:      n,
-		adj:    make([]*bitset.Set, n),
+		adj:    bitset.SparseRows(n, n, g.Adj),
 		deg:    make([]int, n),
 		weight: make([]int64, n),
 		alive:  bitset.Full(n),
-		merged: bitset.New(n),
+		merged: bitset.NewSparse(n, nil),
+		// Every op removes at least one vertex, so the log never outgrows n.
+		ops: make([]liftOp, 0, n),
 	}
 	for v := 0; v < n; v++ {
-		// Built straight from the CSR row: g's own bitset row is immutable
-		// (and above the rows cutoff would be materialized just to be
-		// copied).
-		k.adj[v] = bitset.FromIndices(n, g.Adj(v)...)
 		k.deg[v] = g.Degree(v)
 		k.weight[v] = g.Weight(v)
 	}
@@ -194,14 +195,14 @@ func (k *vcKernel) rulePendant(v int, counts *RuleCounts) bool {
 // and no dearer, so u can be forced. Squares of graphs are triangle-rich,
 // which is where this rule collapses most of the instance.
 func (k *vcKernel) ruleDomination(v int, counts *RuleCounts) bool {
-	nv := k.adj[v]
+	nv := &k.adj[v]
 	for u := nv.First(); u != -1; u = nv.NextAfter(u) {
-		if k.weight[u] > k.weight[v] {
-			continue
+		if k.weight[u] > k.weight[v] || k.deg[v]-1 > k.deg[u] {
+			continue // dearer, or too few neighbors to cover N(v) \ {u}
 		}
 		// N(v) \ {u} ⊆ N(u), tested on v's own row.
 		nv.Remove(u)
-		dominated := nv.SubsetOf(k.adj[u])
+		dominated := nv.SubsetOf(&k.adj[u])
 		nv.Add(u)
 		if dominated {
 			k.force(u)
@@ -250,17 +251,17 @@ func (k *vcKernel) ruleFold(v int, counts *RuleCounts) bool {
 	folded := k.weight[a] + k.weight[b] - k.weight[v]
 	k.offset += k.weight[v]
 	k.ops = append(k.ops, liftOp{kind: opFold, v: v, a: a, b: b})
-	merged := k.merged
-	merged.CopyFrom(k.adj[a])
-	merged.Or(k.adj[b])
+	k.merged.CopyFrom(&k.adj[a])
+	k.merged.Or(&k.adj[b])
 	k.drop(a)
 	k.drop(b)
-	merged.Remove(v)
-	merged.And(k.alive)
+	k.merged.Remove(v)
+	k.merged.And(k.alive)
 	// v's only neighbors were a and b, so its row is empty now and every
-	// merged vertex is a new neighbor.
-	k.adj[v].CopyFrom(merged)
-	merged.ForEach(func(u int) bool {
+	// merged vertex is a new neighbor: the merged row becomes v's, and v's
+	// empty row the next fold's scratch.
+	k.adj[v], k.merged = k.merged, k.adj[v]
+	k.adj[v].ForEach(func(u int) bool {
 		k.adj[u].Add(v)
 		k.deg[u]++
 		k.deg[v]++
@@ -283,17 +284,18 @@ func (k *vcKernel) ruleTwinSweep(counts *RuleCounts) bool {
 	// Dropping a twin removes the same vertex from every row containing
 	// it, so rows that were equal stay equal and the keys remain valid
 	// within the sweep; rows that only become equal are caught by the
-	// fixpoint loop's next sweep.
-	rep := make(map[string]int)
+	// fixpoint loop's next sweep. A key is its row's raw word encoding,
+	// equal exactly for equal rows.
+	rep := make(map[string]int, k.alive.Count())
 	changed := false
 	for v := k.alive.First(); v != -1; v = k.alive.NextAfter(v) {
 		if k.liveDegree(v) == 0 {
 			continue
 		}
-		key := k.adj[v].String()
-		r, seen := rep[key]
+		k.key = k.adj[v].AppendKey(k.key[:0])
+		r, seen := rep[string(k.key)]
 		if !seen {
-			rep[key] = v
+			rep[string(k.key)] = v
 			continue
 		}
 		k.weight[r] += k.weight[v]
