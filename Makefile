@@ -23,12 +23,14 @@ race:
 
 # Race-detector pass over the shard differentials (sequential vs sharded
 # sweeps of the engine, the primitives and every registry algorithm), the
-# step programs held to their recorded blocking references, and the
-# restarted-vs-fresh step primitives only (small n, a few minutes) — the CI
-# race job. Shards > 1 are where the engine runs node steps concurrently.
+# step programs held to their recorded blocking references, the
+# restarted-vs-fresh step primitives, and the idle-skip differentials
+# (skipping vs stepped runs at shards 1 and 3) only (small n, a few
+# minutes) — the CI race job. Shards > 1 are where the engine runs node
+# steps concurrently.
 race-diff:
 	$(GO) test -race -count=1 \
-		-run 'TestEngineDifferential|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesRestartMatchesFresh|TestRHopPrimitivesMatchBFSReference|TestSharded' \
+		-run 'TestEngineDifferential|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesRestartMatchesFresh|TestRHopPrimitivesMatchBFSReference|TestSharded|TestIdleSkip|SkipMatchesStepped' \
 		./internal/congest/... ./internal/core/ ./internal/harness/
 
 # Race-detector pass over the shard barrier specifically: the sharded
@@ -73,8 +75,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
 # The engine's hot loop in ns/node-round: full neighbor exchange
-# ("program"), CONGESTED CLIQUE broadcast ("clique", n <= 1024) and steps
-# with no sends ("quiet") (see internal/congest/bench_test.go).
+# ("program"), CONGESTED CLIQUE broadcast ("clique", n <= 1024), steps
+# with no sends ("quiet"), and a broadcast every tenth round with the nine
+# rounds between promised idle and skipped ("idle") (see
+# internal/congest/bench_test.go).
 bench-engine:
 	$(GO) test -bench=BenchmarkEngineModes -benchmem -run='^$$' ./internal/congest/
 
@@ -167,9 +171,11 @@ sparsify-smoke:
 # Large-n sweeps over the sharded engine (regenerate BENCH_mega.json
 # and BENCH_mega-1m.json): MDS end to end plus the MVC Lemma-6 shortcut
 # rows on a sparse 100k instance with a shard-count axis, then the 300k
-# and million-node shortcut cells. Expect about an hour on one core (the
-# MDS phase budget is Θ(log²n·logΔ) phases of Θ(log n) rounds each; see
-# ARCHITECTURE.md on when sharding pays).
+# and million-node shortcut cells. Expect about four minutes for the 100k
+# cells on a 2-vCPU host (the MDS cell took 133 s at shards 1 and 100 s at
+# shards 8, with most of its Θ(log²n·logΔ) phases skipped as idle once
+# every vertex is covered) and well under a minute for the shortcut cells;
+# see ARCHITECTURE.md on when sharding pays.
 sweep-mega:
 	$(GO) run ./cmd/powerbench -spec specs/mega-sweep.json -workers 1 -out $(OUT)
 	$(GO) run ./cmd/powerbench -spec specs/mega-1m.json -workers 1 -out $(OUT)

@@ -17,6 +17,9 @@ import (
 //     so a node-round delivers n−1 messages; run at n ≤ 1024 only, since
 //     one round's inbox holds n(n−1) messages;
 //   - quiet: every node steps and sends nothing — the per-node-step floor.
+//   - idle: every node broadcasts in every tenth round and promises the
+//     nine rounds between as idle (Node.Idle), so the engine skips them;
+//     its figure is still per nominal node-round.
 //
 // Run it with `make bench-engine`.
 func BenchmarkEngineModes(b *testing.B) {
@@ -24,14 +27,20 @@ func BenchmarkEngineModes(b *testing.B) {
 	for _, n := range []int{256, 1024, 2048} {
 		g := graph.ConnectedGNP(n, 8/float64(n), newRand(1))
 		w := IDBits(n)
+		exchange := func(quiet bool) func(*Node) StepProgram[int] {
+			return func(*Node) StepProgram[int] { return &exchangeProgram{rounds: rounds, width: w, quiet: quiet} }
+		}
 		modes := []struct {
-			name  string
-			cfg   Config
-			quiet bool
+			name string
+			cfg  Config
+			prog func(*Node) StepProgram[int]
 		}{
-			{"program", Config{Graph: g}, false},
-			{"clique", Config{Graph: g, Model: CongestedClique}, false},
-			{"quiet", Config{Graph: g}, true},
+			{"program", Config{Graph: g}, exchange(false)},
+			{"clique", Config{Graph: g, Model: CongestedClique}, exchange(false)},
+			{"quiet", Config{Graph: g}, exchange(true)},
+			{"idle", Config{Graph: g}, func(*Node) StepProgram[int] {
+				return &idleExchangeProgram{rounds: rounds, width: w, period: 10}
+			}},
 		}
 		for _, m := range modes {
 			if m.name == "clique" && n > 1024 {
@@ -39,7 +48,7 @@ func BenchmarkEngineModes(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("n=%d/%s", n, m.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := runExchange(m.cfg, rounds, w, m.quiet); err != nil {
+					if _, err := RunProgram(m.cfg, m.prog); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -84,3 +93,28 @@ func runExchange(cfg Config, rounds, width int, quiet bool) (*Result[int], error
 		return &exchangeProgram{rounds: rounds, width: width, quiet: quiet}
 	})
 }
+
+// idleExchangeProgram broadcasts its id in every period-th round and
+// promises the rounds between as idle; its state depends on the round
+// number only, so Skip has nothing to advance.
+type idleExchangeProgram struct {
+	rounds, width, period int
+	sum                   int
+}
+
+func (p *idleExchangeProgram) Step(nd *Node) (bool, error) {
+	r := nd.Round()
+	p.sum += len(nd.Recv())
+	if r == p.rounds {
+		return true, nil
+	}
+	if r%p.period == 0 {
+		nd.BroadcastNeighbors(NewIntWidth(int64(nd.ID()), p.width))
+	}
+	nd.Idle(min((r/p.period+1)*p.period, p.rounds) - r - 1)
+	return false, nil
+}
+
+func (p *idleExchangeProgram) Skip(*Node, int) {}
+
+func (p *idleExchangeProgram) Output() int { return p.sum }

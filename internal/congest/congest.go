@@ -20,7 +20,12 @@
 // Node programs are StepPrograms, and RunProgram is the one driver: each
 // round one sweep calls every live node's Step once, in id order, as a
 // plain method call under a single deferred recover, then delivers the
-// round's messages. A Message is a pointer-free value; each node queues
+// round's messages. A program may also promise, through Node.Idle, to stay
+// silent for the next k rounds while nothing reaches it; when no node sent
+// in a round and every live node made such a promise, a program that
+// implements Skipper is advanced over the shortest promise in one Skip
+// call, and the skipped rounds are counted and traced as the quiet rounds
+// they stand for. A Message is a pointer-free value; each node queues
 // its sends in a reused outbox, where a whole broadcast is one entry, and
 // delivery counting-sorts them by destination into one flat inbox, of
 // which every node's Recv is a range. No goroutine, channel, or per-round
@@ -148,6 +153,21 @@ type StepProgram[T any] interface {
 	Output() T
 }
 
+// Skipper is the optional interface of a StepProgram whose idle stretches
+// the engine may jump over. After a round in which no node queued a
+// message and every live node called Node.Idle, the engine takes the
+// shortest promise K and calls Skip(nd, K) on every live program instead
+// of stepping rounds t+1…t+K. Skip must leave the program exactly as K
+// Steps with empty inboxes would have left it, and must not send, mark a
+// span, draw randomness or allocate. It runs on the coordinator at the
+// barrier of the round in which the promises were made.
+//
+// The engine skips only when every program of the run is a Skipper;
+// otherwise every round is stepped and Idle calls are ignored.
+type Skipper interface {
+	Skip(nd *Node, k int)
+}
+
 // ErrMaxRounds reports that the round limit was hit before termination.
 var ErrMaxRounds = errors.New("congest: exceeded maximum round count")
 
@@ -193,6 +213,11 @@ type Node struct {
 	sentRound map[int]int
 	bcastAll  int
 	bcastNbrs int
+
+	// idleStamp is the stamp of the round whose Step last called Idle, and
+	// idleFor the shortest promise made in it.
+	idleStamp int
+	idleFor   int
 }
 
 // outMsg is one queued send: a destination id, or toNbrs/toAll for a
@@ -352,6 +377,22 @@ func (nd *Node) fastBroadcast(m Message, to, count int) {
 		nd.bcastAll = nd.eng.stamp
 	} else {
 		nd.bcastNbrs = nd.eng.stamp
+	}
+}
+
+// Idle promises that for the next k rounds, as long as this node's inbox
+// stays empty, its Step sends nothing, marks no span, draws no randomness,
+// and neither finishes nor fails. It may be called during Step; calling it
+// again in the same Step keeps the shorter promise, and k < 1 promises
+// nothing. A promise lasts for the round it was made in only: a node that
+// stays idle calls Idle again in every Step. See Skipper for how the engine
+// uses the promises.
+func (nd *Node) Idle(k int) {
+	if k < 1 {
+		return
+	}
+	if stamp := nd.eng.stamp; nd.idleStamp != stamp || k < nd.idleFor {
+		nd.idleStamp, nd.idleFor = stamp, k
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 // round (in id order, one sweep under one deferred recover) and then
 // delivers the round's messages by counting sort into one flat inbox,
 // reusing every buffer across rounds. There is no per-node goroutine, no
-// channel, and no per-round allocation in the loop.
+// channel, and no per-round allocation in the loop. A round that queued no
+// message, in which every live node promised to stay idle (Node.Idle), is
+// followed by one Skip call per live program instead of the sweeps of the
+// promised rounds.
 //
 // Determinism follows from three invariants: nodes only interact at round
 // boundaries, senders are processed in id order (so every node's inbox
@@ -301,11 +304,18 @@ func RunProgram[T any](cfg Config, newProgram func(nd *Node) StepProgram[T]) (*R
 		outputs: make([]T, n),
 		done:    make([]bool, n),
 	}
+	skippable := true
 	for i := range eng.nodes {
 		s.progs[i] = newProgram(&eng.nodes[i])
+		_, ok := s.progs[i].(Skipper)
+		skippable = skippable && ok
+	}
+	var skip func(limit int) (int, error)
+	if skippable {
+		skip = s.skipIdle
 	}
 	eng.traceRunStart()
-	runErr := eng.run(s.sweep)
+	runErr := eng.run(s.sweep, skip)
 	eng.traceRunEnd(runErr)
 	if runErr != nil {
 		return nil, runErr
@@ -370,13 +380,56 @@ func (s *sweeper[T]) sweepFrom(i, hi, finished int) (next, fin int) {
 	return hi, finished
 }
 
+// skipIdle jumps over the idle stretch that follows the current round when
+// every live node promised one (Node.Idle) during it: it calls Skip with
+// the shortest promise, capped at limit, on every live program and returns
+// that count. It returns 0, and skips nothing, when some live node made no
+// promise this round. The promises sit in the nodes, each written only by
+// the worker that steps the node, and are read here, on the coordinator
+// after the barrier, in id order, so the decision is the same at every
+// shard count.
+func (s *sweeper[T]) skipIdle(limit int) (k int, err error) {
+	e := s.e
+	k = limit
+	for i := range s.progs {
+		if s.done[i] {
+			continue
+		}
+		nd := &e.nodes[i]
+		if nd.idleStamp != e.stamp {
+			return 0, nil
+		}
+		k = min(k, nd.idleFor)
+	}
+	if k <= 0 {
+		return 0, nil
+	}
+	i := 0
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("congest: node %d panicked in Skip: %v [%s]", i, r, obs.StackSummary(2, 6))
+		}
+	}()
+	for ; i < len(s.progs); i++ {
+		if !s.done[i] {
+			s.progs[i].(Skipper).Skip(&e.nodes[i], k)
+		}
+	}
+	return k, nil
+}
+
 // run is the round loop: sweep advances the live nodes of an id range by
 // one round and reports how many finished. It returns the abort cause, or
 // nil once every node has finished. With Config.Shards > 1 each round's
 // sweep fans out to the shard workers (shard.go), whose staged side effects
 // are merged at the barrier so the run is byte-identical to the sequential
 // sweep.
-func (e *engine) run(sweep func(lo, hi int) int) error {
+//
+// skip, nil unless every program is a Skipper, is consulted after each
+// round that queued no message. The rounds it skips are counted and traced
+// as the quiet rounds they stand for, and are capped so that the MaxRounds
+// abort fires at the same round as it would without skipping.
+func (e *engine) run(sweep func(lo, hi int) int, skip func(limit int) (int, error)) error {
 	n := len(e.nodes)
 	sweepRound := func() int { return sweep(0, n) }
 	if e.shards > 1 {
@@ -400,11 +453,26 @@ func (e *engine) run(sweep func(lo, hi int) int) error {
 		if live == 0 {
 			return nil
 		}
+		quiet := len(e.senders) == 0
 		e.stats.Rounds++
 		if err := e.deliver(); err != nil {
 			return err
 		}
 		e.traceRound(round, live)
+		if !quiet || skip == nil {
+			continue
+		}
+		k, err := skip(e.maxRounds - round)
+		if err != nil {
+			return err
+		}
+		e.stats.Rounds += k
+		if e.wantRounds {
+			for j := 1; j <= k; j++ {
+				e.traceRound(round+j, live)
+			}
+		}
+		round += k
 	}
 }
 

@@ -31,6 +31,15 @@
 //     nothing, so the caller must start the next stage within the same
 //     slice.
 //
+// Primitives whose traffic dies out before their slice budget is spent
+// also report it: Idle returns how many of the coming slices would queue
+// nothing and not finish if every inbox stayed empty, and Skip(k) advances
+// the primitive over k ≤ Idle() such slices exactly as k Steps would. Both
+// are pure — they neither send nor touch the node — so a program can turn
+// them into an engine idle promise (congest.Node.Idle) and a
+// congest.Skipper. A closing slice is never counted: it is where the caller
+// chains the next stage.
+//
 // TestGoldenStepPrimitives pins the composed CONGEST and clique chains —
 // every node's output and the full simulator accounting — against a
 // fixture, and the per-primitive tests check each stage's properties
@@ -164,6 +173,23 @@ func (s *StepBFSTree) Step(nd *congest.Node) bool {
 	return false
 }
 
+// Idle reports how many coming slices queue nothing on empty inboxes: the
+// flood slices after this node announced, and the child notification slice
+// too when it has no parent to notify.
+func (s *StepBFSTree) Idle() int {
+	end := s.n
+	if s.t.Parent == -1 {
+		end = s.n + 1
+	}
+	if s.announce || s.r >= end {
+		return 0
+	}
+	return end - s.r
+}
+
+// Skip advances over k ≤ Idle() silent slices.
+func (s *StepBFSTree) Skip(k int) { s.r += k }
+
 // Tree returns this node's local tree view; valid once Step reported done.
 func (s *StepBFSTree) Tree() Tree { return s.t }
 
@@ -206,6 +232,19 @@ func (s *StepConvergecastSum) Step(nd *congest.Node) bool {
 	s.r++
 	return false
 }
+
+// Idle reports how many coming slices queue nothing on empty inboxes: all
+// that remain before the closing slice, once this node has reported (or
+// waits on a child, or is the root).
+func (s *StepConvergecastSum) Idle() int {
+	if s.r >= s.n || (!s.sent && s.pending == 0 && s.t.Parent != -1) {
+		return 0
+	}
+	return s.n - s.r
+}
+
+// Skip advances over k ≤ Idle() silent slices.
+func (s *StepConvergecastSum) Skip(k int) { s.r += k }
 
 // Sum returns the total at the root and 0 elsewhere; valid once done.
 func (s *StepConvergecastSum) Sum() int64 {
@@ -257,6 +296,18 @@ func (s *StepBroadcastFromRoot) Step(nd *congest.Node) bool {
 	s.r++
 	return false
 }
+
+// Idle reports how many coming slices queue nothing on empty inboxes: all
+// that remain before the closing slice, unless a relay is pending.
+func (s *StepBroadcastFromRoot) Idle() int {
+	if s.relay || s.r >= s.n {
+		return 0
+	}
+	return s.n - s.r
+}
+
+// Skip advances over k ≤ Idle() silent slices.
+func (s *StepBroadcastFromRoot) Skip(k int) { s.r += k }
 
 // Value returns the flooded value; valid once done.
 func (s *StepBroadcastFromRoot) Value() int64 { return s.v }
@@ -337,6 +388,35 @@ func (s *StepGatherAtRoot) Step(nd *congest.Node) bool {
 	}
 }
 
+// Idle reports how many coming slices queue nothing on empty inboxes,
+// within the current sub-stage (convergecast, broadcast, pipeline): in the
+// pipeline, every slice before the closing one once this node has nothing
+// left to forward.
+func (s *StepGatherAtRoot) Idle() int {
+	switch s.sub {
+	case 0:
+		return s.conv.Idle()
+	case 1:
+		return s.bcast.Idle()
+	}
+	if s.r >= s.rounds || (len(s.queue) > 0 && s.t.Parent != -1) {
+		return 0
+	}
+	return s.rounds - s.r
+}
+
+// Skip advances over k ≤ Idle() silent slices.
+func (s *StepGatherAtRoot) Skip(k int) {
+	switch s.sub {
+	case 0:
+		s.conv.Skip(k)
+	case 1:
+		s.bcast.Skip(k)
+	default:
+		s.r += k
+	}
+}
+
 // Collected returns every gathered item at the root (nil elsewhere); valid
 // once done.
 func (s *StepGatherAtRoot) Collected() []congest.Message {
@@ -413,6 +493,37 @@ func (s *StepFloodItemsFromRoot) Step(nd *congest.Node) bool {
 			s.r++
 			return false
 		}
+	}
+}
+
+// Idle reports how many coming slices queue nothing on empty inboxes,
+// within the current sub-stage: in the pipeline, every slice before the
+// closing one once this node has nothing left to relay or no child to relay
+// to.
+func (s *StepFloodItemsFromRoot) Idle() int {
+	switch s.sub {
+	case 0:
+		return s.conv.Idle()
+	case 1:
+		return s.bcast.Idle()
+	}
+	if s.r >= s.rounds || (s.sendIdx < len(s.queue) && len(s.t.Children) > 0) {
+		return 0
+	}
+	return s.rounds - s.r
+}
+
+// Skip advances over k ≤ Idle() silent slices; a leaf still walks its relay
+// cursor, as its Steps would.
+func (s *StepFloodItemsFromRoot) Skip(k int) {
+	switch s.sub {
+	case 0:
+		s.conv.Skip(k)
+	case 1:
+		s.bcast.Skip(k)
+	default:
+		s.r += k
+		s.sendIdx = min(s.sendIdx+k, len(s.queue))
 	}
 }
 
@@ -533,8 +644,21 @@ func (s *StepMinFlood) Step(nd *congest.Node) bool {
 	return false
 }
 
+// Idle reports 1 while the sending slice is ahead and there is no value to
+// send, 0 otherwise.
+func (s *StepMinFlood) Idle() int {
+	if s.r == 0 && s.best < 0 {
+		return 1
+	}
+	return 0
+}
+
+// Skip advances over k ≤ Idle() silent slices.
+func (s *StepMinFlood) Skip(k int) { s.r += k }
+
 // Min returns the aggregated minimum (-1 if nothing was seen); valid once
-// done.
+// done. Before that it is the running minimum, which an empty closing slice
+// leaves unchanged.
 func (s *StepMinFlood) Min() int64 { return s.best }
 
 // The message kinds of the step primitives (see congest.KindUser).
@@ -599,8 +723,21 @@ func (s *StepRankFlood) Step(nd *congest.Node) bool {
 	return false
 }
 
+// Idle reports 1 while the sending slice is ahead and there is no value to
+// send, 0 otherwise.
+func (s *StepRankFlood) Idle() int {
+	if s.r == 0 && s.rank < 0 {
+		return 1
+	}
+	return 0
+}
+
+// Skip advances over k ≤ Idle() silent slices.
+func (s *StepRankFlood) Skip(k int) { s.r += k }
+
 // Best returns the lexicographic minimum (rank, id); id is -1 when nothing
-// was seen. Valid once done.
+// was seen. Valid once done. Before that the rank is the running minimum,
+// which an empty closing slice leaves unchanged.
 func (s *StepRankFlood) Best() (rank, id int64) { return s.rank, s.id }
 
 // Senders returns the neighbors that sent a value this flood, in ascending
@@ -867,6 +1004,27 @@ func (s *StepCandidateMinFlood) minOf(cand int64) (int64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Idle reports how many coming slices queue nothing on empty inboxes: every
+// slice before the closing one while this flood holds no sample (it
+// contributes none and none reached it). Such a flood closes with Min() =
+// -1 on an empty closing slice.
+func (s *StepCandidateMinFlood) Idle() int {
+	if s.r >= s.hops || len(s.perCand) > 0 || (s.r == 0 && s.own >= 0) {
+		return 0
+	}
+	return s.hops - s.r
+}
+
+// Skip advances over k ≤ Idle() silent slices.
+func (s *StepCandidateMinFlood) Skip(k int) { s.r += k }
+
+// Empty reports whether this flood holds no sample: it queues nothing in
+// its remaining slices, which Idle then counts in full, and closes with
+// Min() = -1 on an empty closing slice.
+func (s *StepCandidateMinFlood) Empty() bool {
+	return len(s.perCand) == 0 && (s.r > 0 || s.own < 0)
 }
 
 // Min returns this candidate's vote minimum (-1 when it saw none, or when
@@ -1263,6 +1421,35 @@ func (s *StepLeaderPipeline) Step(nd *congest.Node) bool {
 			}
 			return done
 		}
+	}
+}
+
+// Idle reports how many coming slices queue nothing on empty inboxes within
+// the current stage. The election broadcasts in every slice, so it is never
+// idle; the tree stages go quiet once their traffic has died out, which on
+// a low-diameter graph is long before their n-slice budgets are spent.
+// Stage changes mark spans, so they are always stepped.
+func (s *StepLeaderPipeline) Idle() int {
+	switch s.sub {
+	case 1:
+		return s.bfs.Idle()
+	case 2:
+		return s.gather.Idle()
+	case 3:
+		return s.flood.Idle()
+	}
+	return 0
+}
+
+// Skip advances over k ≤ Idle() silent slices.
+func (s *StepLeaderPipeline) Skip(k int) {
+	switch s.sub {
+	case 1:
+		s.bfs.Skip(k)
+	case 2:
+		s.gather.Skip(k)
+	case 3:
+		s.flood.Skip(k)
 	}
 }
 

@@ -219,6 +219,11 @@ type Result struct {
 	Stats congest.Stats
 }
 
+// nodeRunner drives a node program on the engine: congest.RunProgram in
+// every algorithm entry point. The skip differential tests pass a runner
+// that hides the programs' Skip methods, so that every round is stepped.
+type nodeRunner func(congest.Config, func(*congest.Node) congest.StepProgram[nodeOut]) (*congest.Result[nodeOut], error)
+
 // nodeOut is the per-node output assembled into a Result.
 type nodeOut struct {
 	InSolution bool

@@ -57,6 +57,10 @@ type MDSOptions struct {
 // goroutine; TestStepMDSMatchesBlockingReference holds it to the recorded
 // outputs of the blocking implementation it replaced.
 func ApproxMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
+	return approxMDSCongest(g, opts, congest.RunProgram[nodeOut])
+}
+
+func approxMDSCongest(g *graph.Graph, opts *MDSOptions, run nodeRunner) (*Result, error) {
 	if opts == nil {
 		opts = &MDSOptions{}
 	}
@@ -76,7 +80,7 @@ func ApproxMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 		CutA:            opts.Options.CutA,
 		Tracer:          opts.Options.Tracer,
 	}
-	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
+	res, err := run(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		prog := &mdsCongestProgram{mdsParams: *p}
 		prog.startPhase(nd)
 		return prog
@@ -186,9 +190,18 @@ const (
 // The primitives are embedded by value and restarted in place, and every
 // per-phase buffer (minima, candidate neighbors, adoption routes) is
 // truncated rather than reallocated, so once the buffers have grown the
-// phase loop allocates nothing beyond the boxed messages it sends: the
-// Θ(log n) floods per estimator quantity and the Θ(log n · log Δ) phases
-// cost engine time, not heap churn (TestMDSCongestAllocsBounded).
+// phase loop allocates nothing (messages are plain values): the Θ(log n)
+// floods per estimator quantity and the Θ(log n · log Δ) phases cost engine
+// time, not heap churn (TestMDSCongestAllocsBounded).
+//
+// Most of those phases are silent. Once a vertex is covered it draws no
+// samples, and in a neighborhood where every vertex is covered the
+// estimate, rank, vote and cover stages carry nothing; only the hop
+// maximum broadcasts in every phase. The program therefore promises the
+// rest of such a stage to the engine as idle (congest.Node.Idle) and
+// implements congest.Skipper, so the engine jumps over the silent rounds
+// instead of stepping every node through them. Stage changes mark spans
+// or draw ranks, so they are always stepped.
 type mdsCongestProgram struct {
 	mdsParams
 
@@ -262,11 +275,20 @@ func (p *mdsCongestProgram) voteSample(nd *congest.Node) int64 {
 }
 
 func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
+	if p.step(nd) {
+		return true, nil
+	}
+	nd.Idle(p.idle())
+	return false, nil
+}
+
+// step advances one round and reports whether the node finished.
+func (p *mdsCongestProgram) step(nd *congest.Node) bool {
 	for {
 		switch p.sub {
 		case mdsEstimate:
 			if !p.flood.Step(nd) {
-				return false, nil
+				return false
 			}
 			if p.floodStage < p.rpow-1 {
 				// Next hop of the rpow-round min-flood (one chained
@@ -300,7 +322,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			p.sub = mdsHop
 		case mdsHop:
 			if !p.hop.Step(nd) {
-				return false, nil
+				return false
 			}
 			p.candidate = p.rho > 0 && p.rho >= p.hop.Max()
 			var myRank int64 = -1
@@ -318,7 +340,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			p.sub = mdsRank
 		case mdsRank:
 			if !p.rank.Step(nd) {
-				return false, nil
+				return false
 			}
 			if p.rankStage == 0 {
 				// Direct senders in the first flood are the neighboring
@@ -352,7 +374,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			p.sub = mdsVotes
 		case mdsVotes:
 			if !p.votes.Step(nd) {
-				return false, nil
+				return false
 			}
 			if best := p.votes.Min(); best < 0 {
 				p.gotVotes = false
@@ -384,7 +406,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			nd.SpanEnd("mds-votes", p.phase)
 			p.covRound = 0
 			p.sub = mdsCover
-			return false, nil
+			return false
 		default: // mdsCover
 			if p.covRound < p.rpow-1 {
 				relay := p.joined || len(nd.Recv()) > 0
@@ -395,7 +417,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 					nd.BroadcastNeighbors(congest.Flag())
 				}
 				p.covRound++
-				return false, nil
+				return false
 			}
 			if len(nd.Recv()) > 0 {
 				p.covered = true
@@ -411,9 +433,99 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 				p.inDS = true
 				p.fallback = true
 			}
-			return true, nil
+			return true
 		}
 	}
+}
+
+// idle returns how many coming rounds this node stays silent in its current
+// stage if nothing reaches it (0 when it may send, draw or change stage):
+// the rest of the stage, provided its current flood holds no value and
+// every later flood of the stage restarts without one. The hop maximum
+// broadcasts in every slice and is never idle.
+func (p *mdsCongestProgram) idle() int {
+	switch p.sub {
+	case mdsEstimate:
+		if !p.covered || p.flood.Min() >= 0 {
+			return 0
+		}
+		return p.flood.Idle() + (p.r-1-p.j)*p.rpow + p.rpow - 1 - p.floodStage
+	case mdsRank:
+		if rank, _ := p.rank.Best(); rank >= 0 {
+			return 0
+		}
+		return p.rank.Idle() + p.rpow - 1 - p.rankStage
+	case mdsVotes:
+		if p.voteFor >= 0 || !p.votes.Empty() {
+			return 0
+		}
+		return p.votes.Idle() + (p.r-1-p.j)*p.rpow
+	case mdsCover:
+		if p.joined {
+			return 0
+		}
+		return p.rpow - 1 - p.covRound
+	}
+	return 0
+}
+
+// Skip implements congest.Skipper: it advances the current stage over k
+// silent rounds, k ≤ idle(), exactly as k Steps on empty inboxes would.
+// Within a chain of floods, every flood that closes yields no value and the
+// next restarts empty, so only the chain's counters move.
+func (p *mdsCongestProgram) Skip(_ *congest.Node, k int) {
+	switch p.sub {
+	case mdsEstimate:
+		closed, into := skipChain(k, p.flood.Idle(), 1)
+		if closed == 0 {
+			p.flood.Skip(into)
+			return
+		}
+		idx := p.j*p.rpow + p.floodStage + closed
+		if idx/p.rpow > p.j {
+			p.sawAny = false // a full-depth flood closed with no minimum
+		}
+		p.j, p.floodStage = idx/p.rpow, idx%p.rpow
+		p.flood.Restart(-1, p.qWidth)
+		p.flood.Skip(into)
+	case mdsRank:
+		closed, into := skipChain(k, p.rank.Idle(), 1)
+		if closed == 0 {
+			p.rank.Skip(into)
+			return
+		}
+		if p.rankStage == 0 {
+			p.candNbrs = p.candNbrs[:0] // no neighboring candidate spoke
+		}
+		p.rankStage += closed
+		p.rank.Restart(-1, -1, p.rankW, p.idw)
+		p.rank.Skip(into)
+	case mdsVotes:
+		closed, into := skipChain(k, p.votes.Idle(), p.rpow)
+		if closed == 0 {
+			p.votes.Skip(into)
+			return
+		}
+		p.gotVotes = false
+		p.j += closed
+		p.votes.Restart(-1)
+		p.votes.Skip(into)
+	case mdsCover:
+		p.covRound += k
+	}
+}
+
+// skipChain splits k silent rounds of a chain of floods whose current flood
+// has a silent slices left before its closing slice, and whose later floods
+// each span span rounds (the first shared with its predecessor's closing
+// slice). It returns how many floods close within the k rounds and how many
+// slices the flood then running has stepped: k itself when none closes.
+func skipChain(k, a, span int) (closed, into int) {
+	if k <= a {
+		return 0, k
+	}
+	k -= a + 1
+	return 1 + k/span, k%span + 1
 }
 
 // prepareVotes installs this phase's step-4 vote-estimation schedule, shared

@@ -153,9 +153,9 @@ func TestApproxMDSCongestP7NeedsAtLeastTwo(t *testing.T) {
 // pointer-free values, so a run's allocations are per-node setup plus
 // amortized buffer growth, independent of the round count — measured at
 // about 23 per node at r = 2 (23 200 rounds) and 25 at r = 3 (48 720
-// rounds). The bound of 50 per node leaves 2× headroom; one boxed message
-// per broadcast, or one fresh primitive per node per flood, costs hundreds
-// per node.
+// rounds). The bound of 50 per node leaves 2× headroom; one allocation per
+// node per flood (a fresh primitive, a buffer rebuilt instead of
+// truncated, or a Skip that allocates) costs hundreds per node.
 func TestMDSCongestAllocsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting over full MDS runs at n=300")

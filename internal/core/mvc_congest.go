@@ -30,6 +30,10 @@ import (
 // leader). ε must be positive; for ε > 1 the paper's trivial 0-round
 // 2-approximation (all vertices, Lemma 6) is returned.
 func ApproxMVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, error) {
+	return approxMVCCongest(g, eps, opts, congest.RunProgram[nodeOut])
+}
+
+func approxMVCCongest(g *graph.Graph, eps float64, opts *Options, run nodeRunner) (*Result, error) {
 	l, err := epsilonToL(eps)
 	if err != nil {
 		return nil, err
@@ -68,7 +72,7 @@ func ApproxMVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, erro
 		CutA:            opts.cutA(),
 		Tracer:          opts.tracer(),
 	}
-	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
+	res, err := run(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mvcCongestProgram{
 			n: n, l: l, power: r, iterations: iterations, idw: congest.IDBits(n),
 			solver: solver, inR: true, inC: true,
@@ -134,6 +138,7 @@ func (p *mvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 			p.stage = 2
 		default:
 			if !p.pipe.Step(nd) {
+				nd.Idle(p.pipe.Idle())
 				return false, nil
 			}
 			for _, m := range p.pipe.Items() {
@@ -145,6 +150,10 @@ func (p *mvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 		}
 	}
 }
+
+// Skip implements congest.Skipper. Only the Phase-II pipeline promises idle
+// rounds, so a skip always lands in it.
+func (p *mvcCongestProgram) Skip(_ *congest.Node, k int) { p.pipe.Skip(k) }
 
 func (p *mvcCongestProgram) Output() nodeOut {
 	return nodeOut{InSolution: p.inS || p.inRStar, InPhaseI: p.inS}

@@ -31,6 +31,10 @@ import (
 // holds it to the recorded outputs of the blocking implementation it
 // replaced.
 func ApproxMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*Result, error) {
+	return approxMVCCongestRandomized(g, eps, opts, congest.RunProgram[nodeOut])
+}
+
+func approxMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options, run nodeRunner) (*Result, error) {
 	if _, err := epsilonToL(eps); err != nil {
 		return nil, err
 	}
@@ -68,7 +72,7 @@ func ApproxMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*Re
 		CutA:            opts.cutA(),
 		Tracer:          opts.tracer(),
 	}
-	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
+	res, err := run(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mvcRandCongestProgram{
 			n: n, power: r, idw: congest.IDBits(n), solver: solver,
 			voting: primitives.NewStepVotingPhase(primitives.VotingConfig{
@@ -134,6 +138,7 @@ func (p *mvcRandCongestProgram) Step(nd *congest.Node) (bool, error) {
 			p.stage = 3
 		default:
 			if !p.pipe.Step(nd) {
+				nd.Idle(p.pipe.Idle())
 				return false, nil
 			}
 			for _, m := range p.pipe.Items() {
@@ -145,6 +150,10 @@ func (p *mvcRandCongestProgram) Step(nd *congest.Node) (bool, error) {
 		}
 	}
 }
+
+// Skip implements congest.Skipper. Only the Phase-II pipeline promises idle
+// rounds, so a skip always lands in it.
+func (p *mvcRandCongestProgram) Skip(_ *congest.Node, k int) { p.pipe.Skip(k) }
 
 func (p *mvcRandCongestProgram) Output() nodeOut {
 	return nodeOut{InSolution: p.voting.InS() || p.inRStar, InPhaseI: p.voting.InS()}

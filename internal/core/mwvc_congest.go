@@ -51,6 +51,10 @@ func edgeOrWeight(kind congest.Kind, a int64, wa int, b int64, wb int) congest.M
 // paper's O(log n)-bit weight assumption); zero-weight vertices join the
 // cover for free upfront, as in Section 3.2. The graph must be connected.
 func ApproxMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, error) {
+	return approxMWVCCongest(g, eps, opts, congest.RunProgram[nodeOut])
+}
+
+func approxMWVCCongest(g *graph.Graph, eps float64, opts *Options, run nodeRunner) (*Result, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("core: epsilon must be positive, got %v", eps)
 	}
@@ -105,7 +109,7 @@ func ApproxMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, err
 		CutA:            opts.cutA(),
 		Tracer:          opts.tracer(),
 	}
-	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
+	res, err := run(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mwvcCongestProgram{
 			n: n, power: r, idw: idw, maxWBits: maxWBits, solver: solver,
 			phase1: primitives.NewStepWeightedLocalRatio(nd, iterations, maxWBits, ripeSelector(ratio)),
@@ -236,6 +240,7 @@ func (p *mwvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 			p.stage = 2
 		default:
 			if !p.pipe.Step(nd) {
+				nd.Idle(p.pipe.Idle())
 				return false, nil
 			}
 			for _, m := range p.pipe.Items() {
@@ -247,6 +252,10 @@ func (p *mwvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 		}
 	}
 }
+
+// Skip implements congest.Skipper. Only the Phase-II pipeline promises idle
+// rounds, so a skip always lands in it.
+func (p *mwvcCongestProgram) Skip(_ *congest.Node, k int) { p.pipe.Skip(k) }
 
 func (p *mwvcCongestProgram) Output() nodeOut {
 	return nodeOut{InSolution: p.phase1.InS() || p.inRStar, InPhaseI: p.phase1.InS()}

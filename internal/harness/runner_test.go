@@ -94,7 +94,7 @@ func TestResultsVerifiedAndOracleChecked(t *testing.T) {
 // flushed to the sink.
 func TestCancellationFlushesPartialResults(t *testing.T) {
 	spec := testSpec()
-	spec.Trials = 4 // enough jobs to still be running at cancel time
+	spec.Trials = 16 // enough jobs to still be running at cancel time
 	ctx, cancel := context.WithCancel(context.Background())
 	var buf bytes.Buffer
 	stopAfter := 3
