@@ -3,7 +3,7 @@
 GO ?= go
 OUT ?= bench-out
 
-.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench-smoke bench bench-engine bench-incpower bench-obs bench-kernel fuzz-kernel fuzz-exact fuzz-graph sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
+.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench-smoke bench bench-engine bench-incpower bench-obs bench-kernel fuzz-kernel fuzz-exact fuzz-graph fuzz-congest sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,7 @@ race:
 # steps concurrently.
 race-diff:
 	$(GO) test -race -count=1 \
-		-run 'TestEngineDifferential|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesRestartMatchesFresh|TestRHopPrimitivesMatchBFSReference|TestSharded|TestIdleSkip|SkipMatchesStepped' \
+		-run 'TestEngineDifferential|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesRestartMatchesFresh|TestRHopPrimitivesMatchBFSReference|TestSharded|TestIdleSkip|SkipMatchesStepped|TestSilentHopMax|ElectsMinimum' \
 		./internal/congest/... ./internal/core/ ./internal/harness/
 
 # Race-detector pass over the shard barrier specifically: the sharded
@@ -126,6 +126,13 @@ fuzz-exact:
 fuzz-graph:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeListLimit -fuzztime=20s ./internal/graph/
 
+# Short fuzz pass over the change-only hop maximum (small random graphs,
+# mostly-zero values, hops 1–4, natural and fixed widths): the centralized
+# k-hop maximum, the exact message count the silence rule allows, and
+# stepped = skipping runs — the CI smoke configuration.
+fuzz-congest:
+	$(GO) test -run='^$$' -fuzz=FuzzSilentHopMax -fuzztime=20s ./internal/congest/primitives/
+
 # Full scenario sweep through the experiment harness; override SPEC to point
 # at another matrix, e.g. `make sweep SPEC=specs/power-sweep.json`.
 SPEC ?= specs/podc20-sweep.json
@@ -171,10 +178,10 @@ sparsify-smoke:
 # Large-n sweeps over the sharded engine (regenerate BENCH_mega.json
 # and BENCH_mega-1m.json): MDS end to end plus the MVC Lemma-6 shortcut
 # rows on a sparse 100k instance with a shard-count axis, then the 300k
-# and million-node shortcut cells. Expect about four minutes for the 100k
-# cells on a 2-vCPU host (the MDS cell took 133 s at shards 1 and 100 s at
-# shards 8, with most of its Θ(log²n·logΔ) phases skipped as idle once
-# every vertex is covered) and well under a minute for the shortcut cells;
+# and million-node shortcut cells. Expect about a minute and a half for
+# the 100k cells on a 2-vCPU host (the MDS cell took 47 s at shards 1 and
+# 41 s at shards 8, with most of its Θ(log²n·logΔ) phases skipped as idle
+# once every vertex is covered) and well under a minute for the shortcut cells;
 # see ARCHITECTURE.md on when sharding pays.
 sweep-mega:
 	$(GO) run ./cmd/powerbench -spec specs/mega-sweep.json -workers 1 -out $(OUT)

@@ -40,6 +40,12 @@
 // congest.Skipper. A closing slice is never counted: it is where the caller
 // chains the next stage.
 //
+// Silence encodes the default: a primitive sends only what its receivers
+// cannot infer — a hop maximum only positive and rising values, an election
+// only a falling minimum, a status exchange only the non-default status —
+// so every node ends with the value the always-send protocol would give it,
+// at a fraction of the messages, and a flood whose news has spread is idle.
+//
 // TestGoldenStepPrimitives pins the composed CONGEST and clique chains —
 // every node's output and the full simulator accounting — against a
 // fixture, and the per-primitive tests check each stage's properties
@@ -88,15 +94,23 @@ func panicCollective(msg string) {
 // graph every node holds the same leader after exactly n slices (n ≥
 // diameter+1 guarantees quiescence). Done on slice n; messages carry one
 // id.
+//
+// A node speaks only when it has news. In slice 0 only locally minimal ids
+// broadcast (a node with a smaller neighbor cannot be the leader), and
+// afterwards a node broadcasts only in the slice its minimum fell. The
+// global minimum is locally minimal, and it reaches a node at distance d in
+// slice d as a fall, so every node still ends with it; once the flood has
+// died out every node is idle until the closing slice.
 type StepMinIDLeader struct {
 	n, w int
 	best int64
+	news bool // best fell since the last broadcast (slice 0: locally minimal)
 	r    int
 }
 
 // NewStepMinIDLeader starts a leader election at this node.
 func NewStepMinIDLeader(nd *congest.Node) *StepMinIDLeader {
-	return &StepMinIDLeader{n: nd.N(), w: congest.IDBits(nd.N()), best: int64(nd.ID())}
+	return &StepMinIDLeader{n: nd.N(), w: congest.IDBits(nd.N()), best: int64(nd.ID()), news: locallyMinimal(nd)}
 }
 
 // Step advances one round-slice.
@@ -105,19 +119,43 @@ func (s *StepMinIDLeader) Step(nd *congest.Node) bool {
 		for _, in := range nd.Recv() {
 			if v := in.Msg.A; v < s.best {
 				s.best = v
+				s.news = true
 			}
 		}
 	}
 	if s.r == s.n {
 		return true
 	}
-	nd.BroadcastNeighbors(congest.NewIntWidth(s.best, s.w))
+	if s.news {
+		nd.BroadcastNeighbors(congest.NewIntWidth(s.best, s.w))
+		s.news = false
+	}
 	s.r++
 	return false
 }
 
+// Idle reports how many coming slices queue nothing on empty inboxes: all
+// that remain before the closing slice, unless news is pending (which only
+// a node that has not stepped yet can hold).
+func (s *StepMinIDLeader) Idle() int {
+	if s.news || s.r >= s.n {
+		return 0
+	}
+	return s.n - s.r
+}
+
+// Skip advances over k ≤ Idle() silent slices.
+func (s *StepMinIDLeader) Skip(k int) { s.r += k }
+
 // Leader returns the elected minimum id; valid once Step reported done.
 func (s *StepMinIDLeader) Leader() int { return int(s.best) }
+
+// locallyMinimal reports whether no G-neighbor has a smaller id than this
+// node (neighbor lists are sorted): only such a node can hold the minimum.
+func locallyMinimal(nd *congest.Node) bool {
+	nbrs := nd.Neighbors()
+	return len(nbrs) == 0 || nbrs[0] > nd.ID()
+}
 
 // StepBFSTree builds a BFS spanning tree rooted at root and yields each
 // node's local view: depths equal BFS distances in G, and every parent is a
@@ -530,17 +568,24 @@ func (s *StepFloodItemsFromRoot) Skip(k int) {
 // Items returns the root's items in root order; valid once done.
 func (s *StepFloodItemsFromRoot) Items() []congest.Message { return s.got }
 
-// StepHopMax floods a running maximum for a fixed number of hops (every
-// node sends every hop). After k hops each node holds the maximum over its
-// closed k-hop neighborhood. A positive width fixes the message size;
-// width ≤ 0 sends natural-width messages (the wire format of
-// NewStepTwoHopMax).
+// StepHopMax floods a running maximum of non-negative values for a fixed
+// number of hops. After k hops each node holds the maximum over its closed
+// k-hop neighborhood. A positive width fixes the message size; width ≤ 0
+// sends natural-width messages (the wire format of NewStepTwoHopMax).
+//
+// Silence encodes what the receiver already knows: in slice 0 a node sends
+// only a positive value (silence means 0, the least value), and afterwards
+// only a maximum that rose in that slice (silence means "no higher than what
+// I sent you before", which the receiver has already folded in). Each node
+// still ends with the full k-hop maximum, and a flood whose values have
+// stopped rising is idle until its closing slice.
+//
 // Done on slice k. The zero value is ready for Restart, so programs embed it
 // by value and restart it in place instead of allocating one per flood.
 type StepHopMax struct {
-	m    int64
-	w, k int
-	r    int
+	m, sent int64 // running maximum; the last value sent (0 before any)
+	w, k    int
+	r       int
 }
 
 // NewStepHopMax starts a k-hop maximum of value with width-bit messages.
@@ -551,8 +596,11 @@ func NewStepHopMax(value int64, width, hops int) *StepHopMax {
 }
 
 // Restart begins a fresh k-hop maximum of value in place, exactly as
-// NewStepHopMax(value, width, hops) would.
+// NewStepHopMax(value, width, hops) would. value must be non-negative.
 func (s *StepHopMax) Restart(value int64, width, hops int) {
+	if value < 0 {
+		panicCollective(fmt.Sprintf("primitives: StepHopMax of negative value %d", value))
+	}
 	*s = StepHopMax{m: value, w: width, k: hops}
 }
 
@@ -587,14 +635,30 @@ func (s *StepHopMax) Step(nd *congest.Node) bool {
 	if s.r == s.k {
 		return true
 	}
-	if s.w > 0 {
-		nd.BroadcastNeighbors(congest.NewIntWidth(s.m, s.w))
-	} else {
-		nd.BroadcastNeighbors(congest.NewInt(s.m))
+	if s.m > s.sent {
+		if s.w > 0 {
+			nd.BroadcastNeighbors(congest.NewIntWidth(s.m, s.w))
+		} else {
+			nd.BroadcastNeighbors(congest.NewInt(s.m))
+		}
+		s.sent = s.m
 	}
 	s.r++
 	return false
 }
+
+// Idle reports how many coming slices queue nothing on empty inboxes: all
+// that remain before the closing slice, unless this node has a value it has
+// not sent yet.
+func (s *StepHopMax) Idle() int {
+	if s.m > s.sent || s.r >= s.k {
+		return 0
+	}
+	return s.k - s.r
+}
+
+// Skip advances over k ≤ Idle() silent slices.
+func (s *StepHopMax) Skip(k int) { s.r += k }
 
 // Max returns the k-hop maximum; valid once done.
 func (s *StepHopMax) Max() int64 { return s.m }
@@ -1031,9 +1095,10 @@ func (s *StepCandidateMinFlood) Empty() bool {
 // the node is not a candidate); valid once done.
 func (s *StepCandidateMinFlood) Min() int64 { return s.best }
 
-// StepStatusExchange broadcasts a one-bit status to every G-neighbor and
-// collects the neighbors that reported 1 (the R/U-status exchanges of
-// Algorithm 1 and its variants). Done on slice 1.
+// StepStatusExchange tells every G-neighbor a one-bit status and collects
+// the neighbors whose status is 1 (the R/U-status exchanges of Algorithm 1
+// and its variants). Only status-1 nodes send; silence means 0. Done on
+// slice 1.
 type StepStatusExchange struct {
 	status bool
 	on     []int
@@ -1049,13 +1114,13 @@ func NewStepStatusExchange(status bool) *StepStatusExchange {
 func (s *StepStatusExchange) Step(nd *congest.Node) bool {
 	if s.r == 1 {
 		for _, in := range nd.Recv() {
-			if in.Msg.A == 1 {
-				s.on = append(s.on, in.From)
-			}
+			s.on = append(s.on, in.From)
 		}
 		return true
 	}
-	nd.BroadcastNeighbors(congest.NewIntWidth(bit(s.status), 1))
+	if s.status {
+		nd.BroadcastNeighbors(congest.NewIntWidth(1, 1))
+	}
 	s.r = 1
 	return false
 }
@@ -1093,13 +1158,18 @@ type VotingConfig struct {
 // a fixed iteration schedule instead. Done in the slice that collects the
 // final iteration's join flags (queuing nothing, so the next stage starts in
 // that same slice).
+//
+// Silence encodes the default: every node starts live, so a status exchange
+// carries only the nodes that left R since the last one (each node speaks
+// once), and receivers keep a live-neighbor count; only candidates send in
+// the global OR.
 type StepVotingPhase struct {
 	cfg     VotingConfig
 	rankMax int64
 
 	it, sub             int
 	inR, inS, succeeded bool
-	dR                  int
+	live, dR            int
 	candidate           bool
 	voteFor             int
 }
@@ -1113,7 +1183,9 @@ func NewStepVotingPhase(cfg VotingConfig) *StepVotingPhase {
 func (s *StepVotingPhase) Step(nd *congest.Node) bool {
 	switch s.sub {
 	case 0: // iteration start: collect joins, then exchange live status
+		left := false
 		if s.it > 0 && len(nd.Recv()) > 0 {
+			left = s.inR
 			s.inS, s.inR = true, false
 		}
 		if !s.cfg.Clique && s.it == s.cfg.MaxIters {
@@ -1122,32 +1194,28 @@ func (s *StepVotingPhase) Step(nd *congest.Node) bool {
 		}
 		if s.it == 0 {
 			nd.SpanBegin("phase1", 0)
+			s.live = nd.Degree()
 		}
 		nd.SpanBegin("phase1-iter", s.it)
-		nd.BroadcastNeighbors(congest.NewIntWidth(bit(s.inR), 1))
+		if left {
+			nd.BroadcastNeighbors(congest.NewIntWidth(0, 1))
+		}
 		s.sub = 1
 	case 1: // count live neighbors; clique: start the global OR
-		s.dR = 0
-		for _, in := range nd.Recv() {
-			if in.Msg.A == 1 {
-				s.dR++
-			}
-		}
+		s.live -= len(nd.Recv())
+		s.dR = s.live
 		s.candidate = !s.succeeded && s.dR > s.cfg.Tau
 		if s.cfg.Clique {
-			nd.Broadcast(congest.NewIntWidth(bit(s.candidate), 1))
+			if s.candidate {
+				nd.Broadcast(congest.NewIntWidth(1, 1))
+			}
 			s.sub = 2
 		} else {
 			s.sendRank(nd)
 			s.sub = 3
 		}
 	case 2: // clique only: read the OR; terminate, or announce ranks
-		any := s.candidate
-		for _, in := range nd.Recv() {
-			if in.Msg.A == 1 {
-				any = true
-			}
-		}
+		any := s.candidate || len(nd.Recv()) > 0
 		if !any {
 			nd.SpanEnd("phase1-iter", s.it)
 			nd.SpanEnd("phase1", 0)
@@ -1232,6 +1300,11 @@ type PayeeSelector func(nd *congest.Node, nbrWeight map[int]int64, inRNbr map[in
 // neighborhood U. A node starts live iff its own weight is positive
 // (zero-weight vertices are pre-covered, Section 3.2). Done in the slice
 // that collects the final U-status exchange.
+//
+// The weights already tell every node which neighbors start live, so a
+// status exchange carries only the nodes that left R since the last one
+// (silence means "no change"), and the hop maximum is StepHopMax's
+// change-only flood.
 type StepWeightedLocalRatio struct {
 	iterations, wBits int
 	selector          PayeeSelector
@@ -1276,6 +1349,7 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 		s.sub = wlrJoin
 		s.it = -1
 	case wlrJoin:
+		left := false
 		if s.it < 0 {
 			s.nbrWeight = make(map[int]int64, nd.Degree())
 			for _, in := range nd.Recv() {
@@ -1286,13 +1360,16 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 				s.inRNbr[u] = s.nbrWeight[u] > 0
 			}
 		} else if len(nd.Recv()) > 0 {
+			left = s.inR
 			s.inS, s.inR = true, false
 		}
 		if s.it >= 0 {
 			nd.SpanEnd("phase1-iter", s.it)
 		}
 		s.it++
-		nd.BroadcastNeighbors(congest.NewIntWidth(bit(s.inR), 1))
+		if left {
+			nd.BroadcastNeighbors(congest.NewIntWidth(0, 1))
+		}
 		if s.it == s.iterations {
 			s.sub = wlrFinal
 		} else {
@@ -1300,9 +1377,7 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 			s.sub = wlrStatus
 		}
 	case wlrStatus:
-		for _, in := range nd.Recv() {
-			s.inRNbr[in.From] = in.Msg.A == 1
-		}
+		s.readLeft(nd)
 		s.ripe = s.selector(nd, s.nbrWeight, s.inRNbr)
 		val := int64(0)
 		if len(s.ripe) > 0 {
@@ -1322,15 +1397,23 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 		}
 		s.sub = wlrJoin
 	default: // wlrFinal
-		for _, in := range nd.Recv() {
-			if in.Msg.A == 1 {
-				s.uNbrs = append(s.uNbrs, in.From)
+		s.readLeft(nd)
+		for _, u := range nd.Neighbors() {
+			if s.inRNbr[u] {
+				s.uNbrs = append(s.uNbrs, u)
 			}
 		}
 		nd.SpanEnd("phase1", 0)
 		return true
 	}
 	return false
+}
+
+// readLeft marks the neighbors that reported leaving R this slice.
+func (s *StepWeightedLocalRatio) readLeft(nd *congest.Node) {
+	for _, in := range nd.Recv() {
+		s.inRNbr[in.From] = false
+	}
 }
 
 // InR reports whether this node is still live; valid once done.
@@ -1425,12 +1508,14 @@ func (s *StepLeaderPipeline) Step(nd *congest.Node) bool {
 }
 
 // Idle reports how many coming slices queue nothing on empty inboxes within
-// the current stage. The election broadcasts in every slice, so it is never
-// idle; the tree stages go quiet once their traffic has died out, which on
-// a low-diameter graph is long before their n-slice budgets are spent.
-// Stage changes mark spans, so they are always stepped.
+// the current stage. The election and the tree stages go quiet once their
+// traffic has died out, which on a low-diameter graph is long before their
+// n-slice budgets are spent. Stage changes mark spans, so they are always
+// stepped.
 func (s *StepLeaderPipeline) Idle() int {
 	switch s.sub {
+	case 0:
+		return s.leader.Idle()
 	case 1:
 		return s.bfs.Idle()
 	case 2:
@@ -1444,6 +1529,8 @@ func (s *StepLeaderPipeline) Idle() int {
 // Skip advances over k ≤ Idle() silent slices.
 func (s *StepLeaderPipeline) Skip(k int) {
 	switch s.sub {
+	case 0:
+		s.leader.Skip(k)
 	case 1:
 		s.bfs.Skip(k)
 	case 2:
@@ -1460,7 +1547,9 @@ func (s *StepLeaderPipeline) Leader() int { return s.leaderID }
 func (s *StepLeaderPipeline) Items() []congest.Message { return s.flood.Items() }
 
 // StepCliqueLeader is the CONGESTED CLIQUE's one-round leader election
-// (Lemma 9): everyone flags everyone, the minimum id wins. Done on slice 1.
+// (Lemma 9): every locally minimal node (no G-neighbor has a smaller id)
+// flags everyone, and the minimum id heard or held wins. The global minimum
+// is locally minimal, so every node hears it. Done on slice 1.
 type StepCliqueLeader struct {
 	leader int
 	r      int
@@ -1481,7 +1570,9 @@ func (s *StepCliqueLeader) Step(nd *congest.Node) bool {
 		}
 		return true
 	}
-	nd.Broadcast(congest.Flag())
+	if locallyMinimal(nd) {
+		nd.Broadcast(congest.Flag())
+	}
 	s.r = 1
 	return false
 }
@@ -1530,11 +1621,4 @@ func (s *StepDirectGather) Step(nd *congest.Node) bool {
 // once done.
 func (s *StepDirectGather) Collected() []congest.Message {
 	return s.collected
-}
-
-func bit(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

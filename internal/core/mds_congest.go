@@ -196,12 +196,13 @@ const (
 //
 // Most of those phases are silent. Once a vertex is covered it draws no
 // samples, and in a neighborhood where every vertex is covered the
-// estimate, rank, vote and cover stages carry nothing; only the hop
-// maximum broadcasts in every phase. The program therefore promises the
-// rest of such a stage to the engine as idle (congest.Node.Idle) and
-// implements congest.Skipper, so the engine jumps over the silent rounds
-// instead of stepping every node through them. Stage changes mark spans
-// or draw ranks, so they are always stepped.
+// estimate, rank, vote and cover stages carry nothing; the hop maximum
+// sends only positive and rising values (ρ̃ is 0 at a vertex with nothing
+// left to cover), and the cover flood relays each phase's first flag only.
+// The program therefore promises the rest of such a stage to the engine as
+// idle (congest.Node.Idle) and implements congest.Skipper, so the engine
+// jumps over the silent rounds instead of stepping every node through them.
+// Stage changes mark spans or draw ranks, so they are always stepped.
 type mdsCongestProgram struct {
 	mdsParams
 
@@ -238,9 +239,11 @@ type mdsCongestProgram struct {
 	voteMinima []float64
 	gotVotes   bool
 
-	// Step 6 (coverage flood) state.
-	joined   bool
-	covRound int
+	// Step 6 (coverage flood) state. flagged records that this node has
+	// sent its one flag of the phase (as a new member, or as the relay of
+	// the first flag it heard).
+	joined, flagged bool
+	covRound        int
 }
 
 // startPhase resets the per-phase estimator state and stages the first
@@ -399,7 +402,11 @@ func (p *mdsCongestProgram) step(nd *congest.Node) bool {
 					p.covered = true
 				}
 			}
-			// Step 6: rpow-round coverage flood from new members.
+			// Step 6: rpow-round coverage flood from new members. Each
+			// node sends at most one flag per phase: a member at once, any
+			// other node when the first flag reaches it (a second flag
+			// carries nothing its neighbors have not heard).
+			p.flagged = p.joined
 			if p.joined {
 				nd.BroadcastNeighbors(congest.Flag())
 			}
@@ -409,12 +416,12 @@ func (p *mdsCongestProgram) step(nd *congest.Node) bool {
 			return false
 		default: // mdsCover
 			if p.covRound < p.rpow-1 {
-				relay := p.joined || len(nd.Recv()) > 0
 				if len(nd.Recv()) > 0 {
 					p.covered = true
-				}
-				if relay {
-					nd.BroadcastNeighbors(congest.Flag())
+					if !p.flagged {
+						p.flagged = true
+						nd.BroadcastNeighbors(congest.Flag())
+					}
 				}
 				p.covRound++
 				return false
@@ -441,8 +448,8 @@ func (p *mdsCongestProgram) step(nd *congest.Node) bool {
 // idle returns how many coming rounds this node stays silent in its current
 // stage if nothing reaches it (0 when it may send, draw or change stage):
 // the rest of the stage, provided its current flood holds no value and
-// every later flood of the stage restarts without one. The hop maximum
-// broadcasts in every slice and is never idle.
+// every later flood of the stage restarts without one. The hop maximum and
+// the cover flood are idle whenever their last slice sent nothing new.
 func (p *mdsCongestProgram) idle() int {
 	switch p.sub {
 	case mdsEstimate:
@@ -450,6 +457,8 @@ func (p *mdsCongestProgram) idle() int {
 			return 0
 		}
 		return p.flood.Idle() + (p.r-1-p.j)*p.rpow + p.rpow - 1 - p.floodStage
+	case mdsHop:
+		return p.hop.Idle()
 	case mdsRank:
 		if rank, _ := p.rank.Best(); rank >= 0 {
 			return 0
@@ -461,9 +470,6 @@ func (p *mdsCongestProgram) idle() int {
 		}
 		return p.votes.Idle() + (p.r-1-p.j)*p.rpow
 	case mdsCover:
-		if p.joined {
-			return 0
-		}
 		return p.rpow - 1 - p.covRound
 	}
 	return 0
@@ -488,6 +494,8 @@ func (p *mdsCongestProgram) Skip(_ *congest.Node, k int) {
 		p.j, p.floodStage = idx/p.rpow, idx%p.rpow
 		p.flood.Restart(-1, p.qWidth)
 		p.flood.Skip(into)
+	case mdsHop:
+		p.hop.Skip(k)
 	case mdsRank:
 		closed, into := skipChain(k, p.rank.Idle(), 1)
 		if closed == 0 {

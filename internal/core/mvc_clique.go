@@ -75,7 +75,10 @@ const (
 // Algorithm 1's center selection over G-edges with one extra clique round
 // per iteration computing the global "any candidate left?" OR, so quiet
 // instances stop in O(1) iterations; Phase II is the step-form Lemma 9
-// gather (cliqueStepPhaseII).
+// gather (cliqueStepPhaseII). As in mvcCongestProgram, a status exchange
+// carries only the nodes that just left R (receivers count live
+// neighbors), the 2-hop maximum is change-only, and only candidates send in
+// the OR.
 type mvcCliqueDetProgram struct {
 	n, l, power, iterations int
 	solver                  LocalSolver
@@ -83,7 +86,8 @@ type mvcCliqueDetProgram struct {
 	sub, it       int
 	inR, inC, inS bool
 	candidate     bool
-	hop           *primitives.StepHopMax
+	live          int // neighbors still in R
+	hop           primitives.StepHopMax
 	phase2        *cliqueStepPhaseII
 }
 
@@ -97,7 +101,9 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 		}
 		switch p.sub {
 		case cliqueDetStatus:
+			left := false
 			if p.it > 0 && len(nd.Recv()) > 0 {
+				left = p.inR
 				p.inS = true
 				p.inR = false
 			}
@@ -108,31 +114,25 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 			}
 			if p.it == 0 {
 				nd.SpanBegin("phase1", 0)
+				p.live = nd.Degree()
 			}
 			nd.SpanBegin("phase1-iter", p.it)
-			nd.BroadcastNeighbors(congest.NewIntWidth(boolBit(p.inR), 1))
+			if left {
+				nd.BroadcastNeighbors(congest.NewIntWidth(0, 1))
+			}
 			p.sub = cliqueDetDR
 			return false, nil
 		case cliqueDetDR:
-			dR := 0
-			for _, in := range nd.Recv() {
-				if in.Msg.A == 1 {
-					dR++
-				}
+			p.live -= len(nd.Recv())
+			p.candidate = p.inC && p.live > p.l
+			// Global OR via the clique: only candidates speak.
+			if p.candidate {
+				nd.Broadcast(congest.NewIntWidth(1, 1))
 			}
-			p.candidate = p.inC && dR > p.l
-			// Global OR via the clique.
-			nd.Broadcast(congest.NewIntWidth(boolBit(p.candidate), 1))
 			p.sub = cliqueDetOR
 			return false, nil
 		case cliqueDetOR:
-			any := p.candidate
-			for _, in := range nd.Recv() {
-				if in.Msg.A == 1 {
-					any = true
-				}
-			}
-			if !any {
+			if !p.candidate && len(nd.Recv()) == 0 {
 				nd.SpanEnd("phase1-iter", p.it)
 				nd.SpanEnd("phase1", 0)
 				p.enterPhaseII(nd)
@@ -142,7 +142,7 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 			if p.candidate {
 				val = int64(nd.ID()) + 1
 			}
-			p.hop = primitives.NewStepTwoHopMax(val)
+			p.hop.Restart(val, 0, 2) // the natural-width NewStepTwoHopMax
 			p.hop.Step(nd)
 			p.sub = cliqueDetHop
 			return false, nil

@@ -141,3 +141,33 @@ func TestCliqueRandomizedSeedsAgreeOnFeasibility(t *testing.T) {
 		}
 	}
 }
+
+// TestMVCCliqueDetAllocsBounded guards the allocation profile of
+// Corollary 10's Phase I: the 2-hop maximum is embedded by value and
+// restarted in place, so an iteration allocates nothing and a run's
+// allocations are per-node setup plus Phase II — measured at about 16 per
+// node. A fresh primitive per node per iteration adds one allocation per
+// node for each of the 24 iterations on this instance (11 941 per run),
+// well past the bound of 20 per node.
+func TestMVCCliqueDetAllocsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting over full clique runs at n=300")
+	}
+	const n = 300
+	g := graph.ConnectedGNP(n, 8.0/n, rand.New(rand.NewSource(1)))
+	opts := &Options{Seed: 1}
+	res, err := ApproxMVCCliqueDeterministic(g, 0.5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := ApproxMVCCliqueDeterministic(g, 0.5, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per run over %d rounds × %d nodes", allocs, res.Stats.Rounds, n)
+	if limit := float64(20 * n); allocs >= limit {
+		t.Errorf("%.0f allocations per run over %d rounds × %d nodes, want < %.0f (20 per node)",
+			allocs, res.Stats.Rounds, n, limit)
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"powergraph/internal/bitset"
 	"powergraph/internal/congest"
 	"powergraph/internal/congest/primitives"
@@ -90,18 +92,26 @@ func approxMVCCongest(g *graph.Graph, eps float64, opts *Options, run nodeRunner
 // election, BFS tree, pipelined gather of F at the leader, local solve
 // (Lemma 3), pipelined flood of the solution — with each stage starting in
 // the slice its predecessor finishes.
+//
+// Phase I sends only what a neighbor cannot infer. Every node starts in R,
+// so a status exchange carries only the nodes that left R since the last
+// one (each node speaks once); receivers keep the list of neighbors that
+// left, which gives the live-neighbor count and, in the final exchange, U's
+// neighbors. The 2-hop maximum is StepHopMax's change-only flood, and only
+// selected centers announce joins.
 type mvcCongestProgram struct {
 	n, l, power, iterations, idw int
 	solver                       LocalSolver
 
-	// Phase I state. sr counts Phase-I round-slices: slice 0 sends the
-	// first R-status broadcast, then each iteration occupies 4 slices, and
-	// slice 4·iterations+1 collects the final U-status exchange.
-	sr                  int
-	inR, inC, inS       bool
-	candidate, selected bool
-	maxVal              int64
-	uNbrs               []int
+	// Phase I state. sr counts Phase-I round-slices: slice 0 is the first
+	// (silent) R-status exchange, then each iteration occupies 4 slices,
+	// and slice 4·iterations+1 collects the final U-status exchange.
+	sr            int
+	inR, inC, inS bool
+	candidate     bool
+	left          []int // neighbors that reported leaving R
+	hop           primitives.StepHopMax
+	uNbrs         []int
 
 	stage   int
 	gather  *primitives.StepSparsify
@@ -165,75 +175,83 @@ func (p *mvcCongestProgram) Output() nodeOut {
 func (p *mvcCongestProgram) stepPhaseI(nd *congest.Node) bool {
 	switch {
 	case p.sr == 4*p.iterations+1:
-		// Final status exchange: learn which neighbors are in U = V \ S.
-		for _, in := range nd.Recv() {
-			if in.Msg.A == 1 {
-				p.uNbrs = append(p.uNbrs, in.From)
-			}
-		}
+		// Final status exchange: U = V \ S holds every neighbor that never
+		// reported leaving R.
+		p.readLeft(nd)
+		p.uNbrs = liveNeighbors(nd, p.left)
 		nd.SpanEnd("phase1", 0) // no-op at r = 1, where Phase I never began
 		return true
 	case p.sr == 0:
-		// Round 1 of iteration 0: exchange R-status.
+		// Round 1 of iteration 0: every node starts in R, so the R-status
+		// exchange is silent.
 		if p.iterations > 0 {
 			nd.SpanBegin("phase1", 0)
 		}
-		nd.Broadcast(congest.NewIntWidth(boolBit(p.inR), 1))
 	default:
 		switch (p.sr - 1) % 4 {
 		case 0:
 			nd.SpanBegin("phase1-iter", (p.sr-1)/4)
 			// Count live neighbors; candidates are potential centers with
 			// more than 1/ε = l live neighbors (the loop guard of
-			// Algorithm 1). First slice of the 2-hop max: flood own value.
-			dR := 0
-			for _, in := range nd.Recv() {
-				if in.Msg.A == 1 {
-					dR++
-				}
-			}
-			p.candidate = p.inC && dR > p.l
+			// Algorithm 1). First slice of the 2-hop max.
+			p.readLeft(nd)
+			p.candidate = p.inC && nd.Degree()-len(p.left) > p.l
 			val := int64(0)
 			if p.candidate {
 				val = int64(nd.ID()) + 1
 			}
-			p.maxVal = val
-			nd.Broadcast(congest.NewInt(val))
+			p.hop.Restart(val, 0, 2) // the natural-width NewStepTwoHopMax
+			p.hop.Step(nd)
 		case 1:
-			// Second slice of the 2-hop max: flood the 1-hop maximum.
-			for _, in := range nd.Recv() {
-				if v := in.Msg.A; v > p.maxVal {
-					p.maxVal = v
-				}
-			}
-			nd.Broadcast(congest.NewInt(p.maxVal))
+			p.hop.Step(nd) // second slice of the 2-hop max
 		case 2:
 			// Selected centers (2-hop maxima) move N(c) into S.
-			for _, in := range nd.Recv() {
-				if v := in.Msg.A; v > p.maxVal {
-					p.maxVal = v
-				}
-			}
-			p.selected = p.candidate && p.maxVal == int64(nd.ID())+1
-			if p.selected {
+			p.hop.Step(nd)
+			if p.candidate && p.hop.Max() == int64(nd.ID())+1 {
 				nd.Broadcast(congest.Flag())
 				p.inC = false
 			}
 		case 3:
-			// A JOIN from any selected center puts us into the cover; then
-			// the next iteration's status exchange (or the final U-status
-			// exchange) starts in this same slice.
-			for range nd.Recv() {
+			// A JOIN from any selected center puts us into the cover; a node
+			// that leaves R says so in the next iteration's status exchange
+			// (or the final U-status exchange), which starts in this same
+			// slice.
+			left := false
+			if len(nd.Recv()) > 0 {
+				left = p.inR
 				p.inS = true
 				p.inR = false
-				break
 			}
 			nd.SpanEnd("phase1-iter", (p.sr-1)/4)
-			nd.Broadcast(congest.NewIntWidth(boolBit(p.inR), 1))
+			if left {
+				nd.Broadcast(congest.NewIntWidth(0, 1))
+			}
 		}
 	}
 	p.sr++
 	return false
+}
+
+// readLeft records the neighbors that reported leaving R this slice.
+func (p *mvcCongestProgram) readLeft(nd *congest.Node) {
+	for _, in := range nd.Recv() {
+		p.left = append(p.left, in.From)
+	}
+}
+
+// liveNeighbors returns nd's neighbors outside left, in id order; left is
+// sorted in place.
+func liveNeighbors(nd *congest.Node, left []int) []int {
+	slices.Sort(left)
+	var out []int
+	for _, u := range nd.Neighbors() {
+		if len(left) > 0 && left[0] == u {
+			left = left[1:]
+			continue
+		}
+		out = append(out, u)
+	}
+	return out
 }
 
 // leaderSolveRemainder rebuilds H = G²[U] from the gathered edge set F per
@@ -257,11 +275,4 @@ func leaderSolveRemainder(n int, gathered []congest.Message, solver LocalSolver)
 		return true
 	})
 	return out
-}
-
-func boolBit(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"powergraph/internal/congest"
@@ -21,19 +21,48 @@ type stepped struct{ congest.StepProgram[nodeOut] }
 // can tell that the skipping run really skipped.
 type counted struct {
 	congest.StepProgram[nodeOut]
-	steps *atomic.Int64
+	steps *stepCounts
 }
 
 func (c counted) Step(nd *congest.Node) (bool, error) {
-	c.steps.Add(1)
+	c.steps.add(nd.Round())
 	return c.StepProgram.Step(nd)
 }
 
 func (c counted) Skip(nd *congest.Node, k int) { c.StepProgram.(congest.Skipper).Skip(nd, k) }
 
+// stepCounts counts node steps, in all and per round (shard workers step
+// nodes concurrently, hence the lock).
+type stepCounts struct {
+	mu      sync.Mutex
+	total   int64
+	byRound map[int]int64
+}
+
+func (c *stepCounts) add(round int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.byRound == nil {
+		c.byRound = make(map[int]int64)
+	}
+	c.total++
+	c.byRound[round]++
+}
+
+// within returns the node steps of rounds [lo, hi).
+func (c *stepCounts) within(lo, hi int) int64 {
+	var sum int64
+	for r, k := range c.byRound {
+		if r >= lo && r < hi {
+			sum += k
+		}
+	}
+	return sum
+}
+
 // countingRunner is congest.RunProgram with every program wrapped in
 // counted, and in stepped too when hideSkip is set.
-func countingRunner(steps *atomic.Int64, hideSkip bool) nodeRunner {
+func countingRunner(steps *stepCounts, hideSkip bool) nodeRunner {
 	return func(cfg congest.Config, newProgram func(*congest.Node) congest.StepProgram[nodeOut]) (*congest.Result[nodeOut], error) {
 		return congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 			c := counted{newProgram(nd), steps}
@@ -86,11 +115,13 @@ func collectSkipRun(t *testing.T, res *Result, err error, col *obs.Collector) sk
 // checkSkipDifferential runs one algorithm three ways — stepped in every
 // round, and skipping at shards 1 and 3 — and requires identical results,
 // Stats and traces. It also requires the skipping runs to step fewer node
-// rounds than the stepped one, so the differential cannot pass vacuously.
-func checkSkipDifferential(t *testing.T, run func(o Options, run nodeRunner) (*Result, error)) {
+// rounds than the stepped one, so the differential cannot pass vacuously,
+// and at most half as many within each of the named spans (index 0), so a
+// stage that should go quiet cannot silently stop being skipped.
+func checkSkipDifferential(t *testing.T, run func(o Options, run nodeRunner) (*Result, error), quiet ...string) {
 	t.Helper()
 	col := &obs.Collector{CollectRounds: true}
-	var refSteps atomic.Int64
+	var refSteps stepCounts
 	res, err := run(Options{Seed: 5, Tracer: col}, countingRunner(&refSteps, true))
 	want := collectSkipRun(t, res, err, col)
 	if len(want.rounds) != want.stats.Rounds {
@@ -98,17 +129,46 @@ func checkSkipDifferential(t *testing.T, run func(o Options, run nodeRunner) (*R
 	}
 	for _, shards := range []int{1, 3} {
 		col := &obs.Collector{CollectRounds: true}
-		var steps atomic.Int64
+		var steps stepCounts
 		res, err := run(Options{Seed: 5, Shards: shards, Tracer: col}, countingRunner(&steps, false))
 		got := collectSkipRun(t, res, err, col)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shards=%d: skipping run differs from the stepped run:\n got %s\nwant %s", shards, describeSkipRun(got), describeSkipRun(want))
 		}
-		if steps.Load() >= refSteps.Load() {
-			t.Fatalf("shards=%d: skipping run stepped %d node rounds, the stepped run %d: nothing was skipped", shards, steps.Load(), refSteps.Load())
+		if steps.total >= refSteps.total {
+			t.Fatalf("shards=%d: skipping run stepped %d node rounds, the stepped run %d: nothing was skipped", shards, steps.total, refSteps.total)
 		}
-		t.Logf("shards=%d: %d of %d node steps (%d rounds)", shards, steps.Load(), refSteps.Load(), want.stats.Rounds)
+		for _, name := range quiet {
+			lo, hi := spanRounds(t, want, name)
+			gotIn, refIn := steps.within(lo, hi), refSteps.within(lo, hi)
+			if 2*gotIn > refIn {
+				t.Fatalf("shards=%d: %s (rounds %d–%d): skipping run stepped %d node rounds, the stepped run %d: want at most half", shards, name, lo, hi, gotIn, refIn)
+			}
+			t.Logf("shards=%d: %s: %d of %d node steps", shards, name, gotIn, refIn)
+		}
+		t.Logf("shards=%d: %d of %d node steps (%d rounds)", shards, steps.total, refSteps.total, want.stats.Rounds)
 	}
+}
+
+// spanRounds returns the rounds [begin, end) of span (name, 0) in a run's
+// trace.
+func spanRounds(t *testing.T, r skipRun, name string) (lo, hi int) {
+	t.Helper()
+	lo, hi = -1, -1
+	for _, s := range r.begins {
+		if s.Name == name && s.Index == 0 {
+			lo = s.Round
+		}
+	}
+	for _, s := range r.ends {
+		if s.Name == name && s.Index == 0 {
+			hi = s.Round
+		}
+	}
+	if lo < 0 || hi < lo {
+		t.Fatalf("span %s: no begin/end pair in the trace (begin %d, end %d)", name, lo, hi)
+	}
+	return lo, hi
 }
 
 // describeSkipRun summarizes a run for a failure message.
@@ -145,7 +205,9 @@ func TestMDSCongestSkipMatchesStepped(t *testing.T) {
 
 // TestLeaderPipelineSkipMatchesStepped holds the idle skips of the Phase-II
 // leader pipeline to the stepped run, for every program that embeds it, at
-// r = 2 (the F-edge gather) and r = 3 (the certificate gather).
+// r = 2 (the F-edge gather) and r = 3 (the certificate gather). The
+// election floods only news, so once the minimum id has reached every node
+// the rest of its n slices is skipped.
 func TestLeaderPipelineSkipMatchesStepped(t *testing.T) {
 	algs := map[string]func(g *graph.Graph, o Options, run nodeRunner) (*Result, error){
 		"mvc-congest": func(g *graph.Graph, o Options, run nodeRunner) (*Result, error) {
@@ -165,7 +227,7 @@ func TestLeaderPipelineSkipMatchesStepped(t *testing.T) {
 					checkSkipDifferential(t, func(o Options, run nodeRunner) (*Result, error) {
 						o.Power = r
 						return solve(g, o, run)
-					})
+					}, "leader-elect")
 				})
 			}
 		}

@@ -15,8 +15,8 @@ const (
 	megaGoldenCost         = int64(4287)
 	megaGoldenSolutionSize = 4287
 	megaGoldenRounds       = 83952
-	megaGoldenMessages     = int64(1_595_049_091)
-	megaGoldenTotalBits    = int64(39_227_288_980)
+	megaGoldenMessages     = int64(348_520_055)
+	megaGoldenTotalBits    = int64(15_544_130_474)
 	megaGoldenSpans        = "mds-estimate*396:40392;mds-phase*396:83952;mds-votes*396:40392"
 )
 
