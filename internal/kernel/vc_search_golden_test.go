@@ -78,10 +78,13 @@ type vcSearchRecord struct {
 
 // vcSearchCorpus builds the pinned instances: squares of connected G(n, c/n)
 // for n ∈ {40, 80, 120, 160} and c ∈ {2, 3, 4}, unweighted and with weights
-// in [1, 40], plus the squares of one random tree and one caterpillar.
+// in [1, 40], plus the squares of one random tree and one caterpillar. The
+// sizes 63, 64, 65, 127, 128 and 129 put the last vertex on either side of
+// a 64-bit word boundary, so a word-level walk that mishandles bit 63 or a
+// row's last, partial word changes a record.
 func vcSearchCorpus() map[string]*graph.Graph {
 	out := make(map[string]*graph.Graph)
-	for _, n := range []int{40, 80, 120, 160} {
+	for _, n := range []int{40, 63, 64, 65, 80, 120, 127, 128, 129, 160} {
 		for _, c := range []int{2, 3, 4} {
 			seed := int64(1000*c + n)
 			g := graph.ConnectedGNP(n, float64(c)/float64(n), rand.New(rand.NewSource(seed)))
