@@ -102,8 +102,8 @@ bench-obs:
 # size after reductions, and whether the raw search exhausts the stress
 # budget; the reduction rules alone (KernelizeOnly) on the squares of
 # weighted 2000- and 20 000-vertex trees, the larger the oracle's shape;
-# then the raw search alone on G² of G(150, c/150), whose allocs/op stay
-# flat in the node count.
+# then the raw search alone on G² of G(150, c/150): nodes and ns/node per
+# call, with allocs/op flat in the node count.
 bench-kernel:
 	$(GO) test -bench='BenchmarkKernel' -benchmem -run='^$$' ./internal/kernel/
 	$(GO) test -bench='BenchmarkVertexCoverSearch' -benchmem -run='^$$' ./internal/exact/

@@ -66,6 +66,12 @@ func (s *Set) trim() {
 // Cap returns the capacity (universe size) of the set.
 func (s *Set) Cap() int { return s.n }
 
+// Words returns the set's backing words: element i is bit i%64 of word
+// i/64, and bits at or beyond the capacity are zero. The slice aliases the
+// set and is read-only; it lets a hot loop walk many rows word by word
+// without a method call per element.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Clone returns a deep copy of s.
 func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words)), n: s.n}

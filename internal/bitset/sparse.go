@@ -207,18 +207,28 @@ func (s *Sparse) ForEach(fn func(i int) bool) {
 	}
 }
 
-// SubsetOf reports whether s ⊆ o, in one merge walk over both sets' words.
-func (s *Sparse) SubsetOf(o *Sparse) bool {
+// SubsetOfWith reports whether s ⊆ o ∪ {i}, in one merge walk that skips
+// i's bit of s: the domination test N(v) ⊆ N[u] on v's row, with no edit
+// of either set.
+func (s *Sparse) SubsetOfWith(o *Sparse, i int) bool {
 	s.mustMatch(o.n)
-	if len(s.idx) > len(o.idx) {
-		return false // every stored word of s needs a stored word of o
+	s.check(i)
+	if len(s.idx) > len(o.idx)+1 {
+		return false // at most i's word of s may lack a stored word of o
 	}
+	wi, bit := uint32(i/wordBits), uint64(1)<<uint(i%wordBits)
 	j := 0
-	for k, wi := range s.idx {
-		for j < len(o.idx) && o.idx[j] < wi {
+	for k, x := range s.idx {
+		w := s.words[k]
+		if x == wi {
+			if w &^= bit; w == 0 {
+				continue
+			}
+		}
+		for j < len(o.idx) && o.idx[j] < x {
 			j++
 		}
-		if j == len(o.idx) || o.idx[j] != wi || s.words[k]&^o.words[j] != 0 {
+		if j == len(o.idx) || o.idx[j] != x || w&^o.words[j] != 0 {
 			return false
 		}
 	}

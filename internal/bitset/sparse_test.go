@@ -44,7 +44,7 @@ func sparseMatches(s *Sparse, d *Set) bool {
 // TestQuickSparseAgainstSet runs random sequences of Add, Remove, Or,
 // And-with-dense, CopyFrom and Clear on two sparse sets beside two dense
 // reference sets, and after every step requires equal contents, equal
-// SubsetOf answers, and encodings that are equal exactly when the contents
+// SubsetOfWith answers, and encodings that are equal exactly when the contents
 // are — the contract the kernel's twin keys rely on. Capacities include
 // ones that are not a multiple of 64, and ids are drawn with extra weight
 // on the word boundaries 63 and 64 and on n − 1.
@@ -114,9 +114,14 @@ func TestQuickSparseAgainstSet(t *testing.T) {
 					return false
 				}
 			}
-			if sp[0].SubsetOf(&sp[1]) != ds[0].SubsetOf(ds[1]) || sp[1].SubsetOf(&sp[0]) != ds[1].SubsetOf(ds[0]) {
-				t.Logf("seed %d step %d: SubsetOf disagrees", seed, step)
-				return false
+			i := id()
+			for j := range sp {
+				with := ds[1-j].Clone()
+				with.Add(i)
+				if sp[j].SubsetOfWith(&sp[1-j], i) != ds[j].SubsetOf(with) {
+					t.Logf("seed %d step %d: SubsetOfWith(%d) of set %d disagrees", seed, step, i, j)
+					return false
+				}
 			}
 			ka, kb = sp[0].AppendKey(ka[:0]), sp[1].AppendKey(kb[:0])
 			if bytes.Equal(ka, kb) != ds[0].Equal(ds[1]) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Generators for the workloads used throughout the experiment harness.
@@ -71,11 +72,15 @@ func Grid(rows, cols int) *Graph {
 // RandomTree returns a uniform random labelled tree on n vertices, built by
 // attaching each vertex i ≥ 1 to a uniformly random earlier vertex.
 func RandomTree(n int, rng *rand.Rand) *Graph {
-	b := NewBuilder(n)
+	parent := make([]int32, n)
 	for v := 1; v < n; v++ {
-		b.MustAddEdge(v, rng.Intn(v))
+		parent[v] = int32(rng.Intn(v))
 	}
-	return b.Build()
+	return fromEdges(n, max(n-1, 0), func(add func(u, v int)) {
+		for v := 1; v < n; v++ {
+			add(v, int(parent[v]))
+		}
+	})
 }
 
 // Caterpillar returns a caterpillar: a spine path of length spine with legs
@@ -84,18 +89,18 @@ func RandomTree(n int, rng *rand.Rand) *Graph {
 // which is exactly the structure Algorithm 1's Phase I exploits.
 func Caterpillar(spine, legs int) *Graph {
 	n := spine + spine*legs
-	b := NewBuilder(n)
-	for i := 0; i+1 < spine; i++ {
-		b.MustAddEdge(i, i+1)
-	}
-	next := spine
-	for i := 0; i < spine; i++ {
-		for l := 0; l < legs; l++ {
-			b.MustAddEdge(i, next)
-			next++
+	return fromEdges(n, max(n-1, 0), func(add func(u, v int)) {
+		for i := 0; i+1 < spine; i++ {
+			add(i, i+1)
 		}
-	}
-	return b.Build()
+		next := spine
+		for i := 0; i < spine; i++ {
+			for l := 0; l < legs; l++ {
+				add(i, next)
+				next++
+			}
+		}
+	})
 }
 
 // GNP returns an Erdős–Rényi G(n, p) random graph.
@@ -241,21 +246,16 @@ func RandomBipartite(left, right int, p float64, rng *rand.Rand) *Graph {
 
 // WithRandomWeights returns a copy of g with independent uniform vertex
 // weights in [1, maxW]. The paper's MWVC algorithm assumes O(log n)-bit
-// weights; callers pick maxW = poly(n) accordingly.
+// weights; callers pick maxW = poly(n) accordingly. The copy takes g's CSR
+// arrays as they are, with no edge set to rebuild.
 func WithRandomWeights(g *Graph, maxW int64, rng *rand.Rand) *Graph {
-	b := NewBuilder(g.N())
-	for _, e := range g.Edges() {
-		b.MustAddEdge(e[0], e[1])
-	}
-	for v := 0; v < g.N(); v++ {
-		b.SetWeight(v, 1+rng.Int63n(maxW))
-	}
-	if g.names != nil {
-		for v := 0; v < g.N(); v++ {
-			if g.names[v] != "" {
-				b.SetName(v, g.names[v])
-			}
+	h := fromCSR(g.n, slices.Clone(g.IndPtr()), slices.Clone(g.Indices()))
+	if g.n > 0 {
+		h.weights = make([]int64, g.n)
+		for v := range h.weights {
+			h.weights[v] = 1 + rng.Int63n(maxW)
 		}
 	}
-	return b.Build()
+	h.names = slices.Clone(g.names)
+	return h
 }

@@ -148,28 +148,11 @@ func (b *Builder) Build() *Graph {
 	if 2*int64(len(b.edges)) > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: %d edges exceed the int32 CSR index space", len(b.edges)))
 	}
-	deg := make([]int32, b.n+1)
-	for e := range b.edges {
-		deg[e[0]+1]++
-		deg[e[1]+1]++
-	}
-	indptr := deg // reuse: prefix-summed in place
-	for v := 0; v < b.n; v++ {
-		indptr[v+1] += indptr[v]
-	}
-	flat := make([]int, 2*len(b.edges))
-	fill := make([]int32, b.n)
-	for e := range b.edges {
-		u, v := e[0], e[1]
-		flat[indptr[u]+fill[u]] = v
-		flat[indptr[v]+fill[v]] = u
-		fill[u]++
-		fill[v]++
-	}
-	for v := 0; v < b.n; v++ {
-		slices.Sort(flat[indptr[v]:indptr[v+1]])
-	}
-	g := fromCSR(b.n, indptr, flat)
+	g := fromEdges(b.n, len(b.edges), func(add func(u, v int)) {
+		for e := range b.edges {
+			add(e[0], e[1])
+		}
+	})
 	if b.weights != nil {
 		g.weights = slices.Clone(b.weights)
 	}
@@ -177,6 +160,33 @@ func (b *Builder) Build() *Graph {
 		g.names = slices.Clone(b.names)
 	}
 	return g
+}
+
+// fromEdges builds the compact graph on n vertices from m distinct edges
+// {u, v} with u ≠ v, which each lists through add in any order; it is
+// called twice. Generators that cannot repeat an edge list theirs directly,
+// skipping the Builder's edge set.
+func fromEdges(n, m int, each func(add func(u, v int))) *Graph {
+	indptr := make([]int32, n+1)
+	each(func(u, v int) {
+		indptr[u+1]++
+		indptr[v+1]++
+	})
+	for v := 0; v < n; v++ {
+		indptr[v+1] += indptr[v]
+	}
+	flat := make([]int, 2*m)
+	next := slices.Clone(indptr[:n])
+	each(func(u, v int) {
+		flat[next[u]] = v
+		flat[next[v]] = u
+		next[u]++
+		next[v]++
+	})
+	for v := 0; v < n; v++ {
+		slices.Sort(flat[indptr[v]:indptr[v+1]])
+	}
+	return fromCSR(n, indptr, flat)
 }
 
 // fromCSR assembles a compact Graph from sorted CSR arrays (each row

@@ -26,6 +26,7 @@ func FuzzKernelLiftFeasible(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 3, 4, 5, 6})
 	f.Add([]byte{12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 9, 9, 9})
 	f.Add([]byte{20, 250, 3, 77, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	addWordBoundarySeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeFuzzGraph(data)
 		// A tight budget keeps the fuzz fast and exercises the fallback arm
@@ -67,6 +68,10 @@ func FuzzKernelLiftFeasible(f *testing.F) {
 //   - trips a 1-node budget whenever it needs more than one node, and then
 //     returns no set.
 //
+// The set-cover legs run up to fuzzDSMaxN vertices only: that search does
+// not split components, and a sparse 100-vertex forest already costs it
+// hundreds of thousands of nodes.
+//
 // Run the short CI pass with `make fuzz-exact`.
 func FuzzVertexCoverSearch(f *testing.F) {
 	f.Add([]byte{})
@@ -74,6 +79,7 @@ func FuzzVertexCoverSearch(f *testing.F) {
 	f.Add([]byte{12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 9, 9, 9})
 	f.Add([]byte{13, 0, 1, 0, 2, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 0})
 	f.Add([]byte{20, 250, 3, 77, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	addWordBoundarySeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeFuzzGraph(data)
 		small := g.N() <= 14 // brute force stays fast
@@ -116,6 +122,9 @@ func FuzzVertexCoverSearch(f *testing.F) {
 			t.Fatalf("1-node budget over %d nodes returned err %v", seededNodes, err)
 		}
 
+		if g.N() > fuzzDSMaxN {
+			return
+		}
 		ds, dsNodes := exact.DominatingSetCounted(g)
 		if ok, witness := verify.IsDominatingSet(g, ds); !ok {
 			t.Fatalf("vertex %d undominated on n=%d m=%d", witness, g.N(), g.M())
@@ -138,14 +147,35 @@ func FuzzVertexCoverSearch(f *testing.F) {
 	})
 }
 
+// fuzzDSMaxN is the largest decoded graph the set-cover legs of
+// FuzzVertexCoverSearch run on: the largest n of a byte 0 below 128.
+const fuzzDSMaxN = 33
+
+// addWordBoundarySeeds adds seeds at n = 64, 65 and 129 whose edges join
+// vertices on both sides of a 64-bit word boundary, with zero and positive
+// weights.
+func addWordBoundarySeeds(f *testing.F) {
+	f.Add([]byte{158, 62, 63, 63, 0, 0, 62, 31, 63, 63, 32, 32, 31, 1, 63})
+	f.Add([]byte{159, 63, 64, 64, 0, 62, 64, 63, 62, 64, 1, 1, 63, 0, 62, 5, 64})
+	f.Add([]byte{223, 127, 128, 128, 63, 63, 64, 64, 127, 0, 128, 127, 0, 65, 128, 62, 63, 129, 64})
+}
+
 // decodeFuzzGraph maps an arbitrary byte string to a graph: byte 0 sets n
-// (2..33), then alternating bytes add edges (u, v mod n) and every fifth
+// (2..33 below 128, else 34..161, so rows span one, two or three 64-bit
+// words), then alternating bytes add edges (u, v mod n) and every fifth
 // byte contributes a vertex weight in [0, 7] — zero weights included, so the
-// free-vertex rule stays under fuzz too.
+// free-vertex rule stays under fuzz too. Above 33 vertices at most 2n edge
+// pairs are read: the graphs stay as sparse as the leader's instances, where
+// the unbounded search takes milliseconds.
 func decodeFuzzGraph(data []byte) *graph.Graph {
 	n := 2
 	if len(data) > 0 {
-		n = 2 + int(data[0])%32
+		if b := int(data[0]); b < 128 {
+			n = 2 + b%32
+		} else {
+			n = 34 + b - 128
+			data = data[:min(len(data), 1+4*n)]
+		}
 	}
 	b := graph.NewBuilder(n)
 	for i := 1; i+1 < len(data); i += 2 {

@@ -200,11 +200,7 @@ func (k *vcKernel) ruleDomination(v int, counts *RuleCounts) bool {
 		if k.weight[u] > k.weight[v] || k.deg[v]-1 > k.deg[u] {
 			continue // dearer, or too few neighbors to cover N(v) \ {u}
 		}
-		// N(v) \ {u} ⊆ N(u), tested on v's own row.
-		nv.Remove(u)
-		dominated := nv.SubsetOf(&k.adj[u])
-		nv.Add(u)
-		if dominated {
+		if nv.SubsetOfWith(&k.adj[u], u) { // N(v) ⊆ N[u]
 			k.force(u)
 			counts.Domination++
 			return true
