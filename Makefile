@@ -75,7 +75,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
 # The engine's hot loop in ns/node-round: full neighbor exchange
-# ("program"), CONGESTED CLIQUE broadcast ("clique", n <= 1024), steps
+# ("program"), CONGESTED CLIQUE all-node broadcast ("clique"), steps
 # with no sends ("quiet"), and a broadcast every tenth round with the nine
 # rounds between promised idle and skipped ("idle") (see
 # internal/congest/bench_test.go).

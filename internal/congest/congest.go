@@ -28,11 +28,16 @@
 // they stand for. A Message is a pointer-free value; each node queues
 // its sends in a reused outbox, where a whole broadcast is one entry, and
 // delivery counting-sorts them by destination into one flat inbox, of
-// which every node's Recv is a range. No goroutine, channel, or per-round
-// map sits in the round loop, and steady-state rounds allocate nothing,
-// which is what makes million-node runs practical. Config.Shards > 1
-// splits the per-round node sweep across a persistent worker pool with
-// byte-identical results (see shard.go); ARCHITECTURE.md has measurements.
+// which every node's Recv is a range. A round whose sends are all
+// all-node broadcasts (CONGESTED CLIQUE) is not expanded: its inbox is one
+// entry per broadcaster, which every node's Recv shares (a broadcaster's
+// without its own entry), so delivering it costs O(n + broadcasters)
+// rather than O(n²), while Stats still count every message. No
+// goroutine, channel, or per-round map sits in the round loop, and
+// steady-state rounds allocate nothing, which is what makes million-node
+// runs practical. Config.Shards > 1 splits the per-round node sweep
+// across a persistent worker pool with byte-identical results (see
+// shard.go); ARCHITECTURE.md has measurements.
 // For a fixed Config (including Seed) a run's outputs, round counts, and
 // statistics are fully determined.
 package congest
@@ -434,11 +439,16 @@ func (nd *Node) SpanEnd(name string, index int) {
 
 // Recv returns the messages delivered at the start of the current round
 // (i.e. sent during the previous round), sorted by sender id. The slice is
-// this node's range of the round's shared inbox: it must not be modified,
-// and it is valid only during the current Step, because the next delivery
-// overwrites it.
+// this node's range of the round's shared inbox or, after a round in which
+// every send was an all-node broadcast, the round's broadcast list, which
+// every node shares; a broadcaster gets a copy without its own entry, in a
+// buffer that later Recv calls reuse, at O(broadcasters) per call. It must
+// not be modified, and it is valid only during the current Step.
 func (nd *Node) Recv() []Incoming {
 	e := nd.eng
+	if e.bcastRound {
+		return e.broadcastView(nd)
+	}
 	return e.inbox[e.off[nd.id]:e.off[nd.id+1]]
 }
 

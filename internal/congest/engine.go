@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -23,7 +24,9 @@ import (
 // boundaries, senders are processed in id order (so every node's inbox
 // range is sorted by sender), and a round is counted (and its messages
 // delivered) exactly when at least one node is still running after the
-// sweep.
+// sweep. A round whose only sends are all-node broadcasts (CONGESTED
+// CLIQUE) skips the counting sort: its inbox is one entry per broadcaster,
+// shared by every node's Recv (see gatherBroadcasts).
 
 // engine is the per-run simulation state. Everything but the nodes' own
 // outboxes is touched only by the coordinator goroutine (the sharded sweep
@@ -56,10 +59,20 @@ type engine struct {
 	// messages grouped by destination, node v's range being
 	// inbox[off[v]:off[v+1]]. off has n+2 entries so the counting sort can
 	// count into off[v+2] and use off[v+1] as v's write cursor; offDirty
-	// reports that off still holds a delivered round's ranges.
-	inbox    []Incoming
-	off      []int32
-	offDirty bool
+	// reports that off still holds a delivered round's ranges. After a
+	// broadcast-only round (bcastRound) inbox instead holds one entry per
+	// broadcaster, sorted by sender, and off is clear; view is the
+	// sequential sweep's scratch buffer for a broadcaster's own view of it
+	// (see broadcastView; each shard has its own).
+	inbox      []Incoming
+	off        []int32
+	offDirty   bool
+	bcastRound bool
+	view       []Incoming
+
+	// cutSize is |A| for the configured cut (0 without one), so an
+	// all-node broadcast's crossings cost O(1).
+	cutSize int64
 
 	// shards is the worker count for the per-round node sweep (≤ 1 means
 	// sequential); shardStates holds the per-shard staging buffers (see
@@ -264,6 +277,13 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	if cfg.Tracer != nil {
 		eng.wantRounds = cfg.Tracer.WantRounds()
+	}
+	if cfg.CutA != nil {
+		for v := range min(n, cfg.CutA.Cap()) {
+			if cfg.CutA.Contains(v) {
+				eng.cutSize++
+			}
+		}
 	}
 	eng.stats.Bandwidth = eng.bandwidth
 	// One allocation for all node state; per-node duplicate-send guards and
@@ -485,22 +505,36 @@ func (e *engine) run(sweep func(lo, hi int) int, skip func(limit int) (int, erro
 // destination per round. A round with messages costs O(n) for the clear
 // and the prefix sum over off plus O(1) per message; a quiet round after a
 // quiet round costs O(1).
+//
+// A round whose every outbox entry is an all-node broadcast is not sorted:
+// gatherBroadcasts keeps one entry per broadcaster, which every node's Recv
+// shares, so the round costs O(broadcasters) plus at most the clear of off,
+// however many messages it stands for.
+// Rounds that mix such broadcasts with other sends take the counting sort.
 func (e *engine) deliver() error {
 	if e.offDirty {
 		clear(e.off)
 		e.offDirty = false
 	}
+	e.bcastRound = false
 	e.lastBits, e.lastMsgs, e.lastMaxLink = 0, 0, 0
 	if len(e.senders) == 0 {
 		return nil
 	}
 	allBcasts := e.count()
-	if e.lastMsgs > math.MaxInt32 {
-		return fmt.Errorf("congest: round %d queued %d messages, more than one round's inbox can hold", e.round, e.lastMsgs)
+	// A toAll entry is its sender's only one (the fast path queues it into
+	// an empty outbox, and the bcastAll guard fails every later send), so
+	// one per sender means the round holds nothing else.
+	if allBcasts == len(e.senders) {
+		e.gatherBroadcasts()
+	} else {
+		if e.lastMsgs > math.MaxInt32 {
+			return fmt.Errorf("congest: round %d queued %d messages, more than one round's inbox can hold", e.round, e.lastMsgs)
+		}
+		e.prefix(int32(allBcasts))
+		e.scatter()
+		e.offDirty = true
 	}
-	e.prefix(int32(allBcasts))
-	e.scatter()
-	e.offDirty = true
 	e.stats.TotalBits += e.lastBits
 	e.stats.Messages += e.lastMsgs
 	e.stats.MaxRoundBits = max(e.stats.MaxRoundBits, e.lastBits)
@@ -563,11 +597,11 @@ func (e *engine) crossings(sid, to int) int64 {
 			}
 		}
 	case toAll:
-		for u := range e.nodes {
-			if u != sid && e.cutA.Contains(u) != side {
-				c++
-			}
+		// Every node but the sender: the whole other side of the cut.
+		if side {
+			return int64(len(e.nodes)) - e.cutSize
 		}
+		return e.cutSize
 	default:
 		if e.cutA.Contains(to) != side {
 			c = 1
@@ -620,4 +654,41 @@ func (e *engine) scatter() {
 		nd.out = nd.out[:0]
 	}
 	e.senders = e.senders[:0]
+}
+
+// gatherBroadcasts delivers a round whose every outbox entry is an
+// all-node broadcast: inbox becomes the broadcasters' messages, one entry
+// each in sender id order, and the outboxes are emptied. count withdrew
+// each broadcaster's own slot from off; gatherBroadcasts gives the slots
+// back, so off stays clear for the next round.
+func (e *engine) gatherBroadcasts() {
+	e.inbox = e.inbox[:0]
+	for _, sid := range e.senders {
+		nd := &e.nodes[sid]
+		e.inbox = append(e.inbox, Incoming{From: sid, Msg: nd.out[0].msg})
+		nd.out = nd.out[:0]
+		e.off[sid+2]++
+	}
+	e.senders = e.senders[:0]
+	e.bcastRound = true
+}
+
+// broadcastView is node nd's Recv after a broadcast-only round. A node that
+// did not broadcast receives every broadcast, so it gets the shared list
+// itself. A broadcaster gets the list minus its own entry, copied into the
+// scratch buffer of the sweep that steps it (the engine's on the
+// sequential sweep, its shard's on a sharded one), which the next
+// broadcaster's call on that sweep overwrites; Recv's contract makes the
+// slice valid only during the current Step.
+func (e *engine) broadcastView(nd *Node) []Incoming {
+	i, self := slices.BinarySearchFunc(e.inbox, nd.id, func(in Incoming, id int) int { return cmp.Compare(in.From, id) })
+	if !self {
+		return e.inbox
+	}
+	buf := &e.view
+	if nd.sh != nil {
+		buf = &nd.sh.view
+	}
+	*buf = append(append((*buf)[:0], e.inbox[:i]...), e.inbox[i+1:]...)
+	return *buf
 }

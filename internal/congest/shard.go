@@ -47,6 +47,9 @@ type shardState struct {
 	// err is the shard's first node error this round (= lowest failing id,
 	// because the in-shard sweep is sequential in id order).
 	err error
+	// view is the shard's scratch buffer for a broadcaster's own view of a
+	// broadcast-only round (see engine.broadcastView).
+	view []Incoming
 
 	_ [64]byte // false-sharing pad
 }
