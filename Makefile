@@ -25,22 +25,25 @@ race:
 # sweeps of the engine, the primitives and every registry algorithm), the
 # step programs held to their recorded blocking references, the
 # restarted-vs-fresh step primitives, and the idle-skip differentials
-# (skipping vs stepped runs at shards 1 and 3) only (small n, a few
-# minutes) — the CI race job. Shards > 1 are where the engine runs node
+# (skipping vs stepped runs at shards 1 and 3, also cut short by MaxRounds,
+# and misplaced span marks inside Skip) only (small n, a few minutes) —
+# the CI race job. Shards > 1 are where the engine runs node
 # steps concurrently.
 race-diff:
 	$(GO) test -race -count=1 \
-		-run 'TestEngineDifferential|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesRestartMatchesFresh|TestRHopPrimitivesMatchBFSReference|TestSharded|TestIdleSkip|SkipMatchesStepped|TestSilentHopMax|ElectsMinimum' \
+		-run 'TestEngineDifferential|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesRestartMatchesFresh|TestRHopPrimitivesMatchBFSReference|TestSharded|TestIdleSkip|SkipMatchesStepped|SkipStopsAtMaxRounds|TestSpanMarkAt|TestSilentHopMax|ElectsMinimum' \
 		./internal/congest/... ./internal/core/ ./internal/harness/
 
 # Race-detector pass over the shard barrier specifically: the sharded
 # engine's worker pool under adversarial shard sizes (empty shards, one-node
-# shards), plus the harness-level sharded determinism differential — the CI
-# race-shard job.
+# shards), the harness-level sharded determinism differential, and the
+# span marks made inside Skip, which the coordinator stages while the
+# workers wait (the engine's marked-skip differential and mds-congest's
+# jump over its silent phases, at shards 1 and 3) — the CI race-shard job.
 race-shard:
 	$(GO) test -race -count=1 \
-		-run 'TestSharded|TestNegativeShardsRejected' \
-		./internal/congest/ ./internal/harness/
+		-run 'TestSharded|TestNegativeShardsRejected|TestIdleSkipMarksMatchStepped|TestMDSCongestSkipMatchesStepped' \
+		./internal/congest/ ./internal/core/ ./internal/harness/
 
 # Race-detector pass over the serving layer: the churn property tests
 # (incremental Gʳ maintenance byte-identical to full recomputes, shard
@@ -179,9 +182,9 @@ sparsify-smoke:
 # and BENCH_mega-1m.json): MDS end to end plus the MVC Lemma-6 shortcut
 # rows on a sparse 100k instance with a shard-count axis, then the 300k
 # and million-node shortcut cells. Expect about a minute and a half for
-# the 100k cells on a 2-vCPU host (the MDS cell took 47 s at shards 1 and
-# 41 s at shards 8, with most of its Θ(log²n·logΔ) phases skipped as idle
-# once every vertex is covered) and well under a minute for the shortcut cells;
+# the 100k cells on a 2-vCPU host (the MDS cell took 50 s at shards 1 and
+# 29 s at shards 8, jumping over its Θ(log²n·logΔ) phases once every
+# vertex is covered) and well under a minute for the shortcut cells;
 # see ARCHITECTURE.md on when sharding pays.
 sweep-mega:
 	$(GO) run ./cmd/powerbench -spec specs/mega-sweep.json -workers 1 -out $(OUT)
@@ -191,8 +194,10 @@ sweep-mega:
 # (fixed-size worker pool, sequential-identical output at n = 10⁶) plus one
 # seeded 100k-vertex MDS cell asserted against the golden summary (rounds,
 # messages, solution size) pinned in internal/harness/mega_test.go. The two
-# packages run one after the other (-p 1): side by side, their test binaries
-# together exceed an 8 GB host and the million-node one gets killed.
+# packages run one after the other (-p 1), so the 100k cell's eight shards
+# do not share the CPUs with the million-node run. On a 2-vCPU Xeon the
+# million-node smoke takes 4 s and peaks at 0.8 GB, the 100k cell 32 s and
+# 0.3 GB: about 40 s in all.
 sweep-mega-smoke:
 	MEGA_SMOKE=1 $(GO) test -p 1 -count=1 -timeout 45m \
 		-run 'TestShardedMillionNodes|TestMegaGoldenSummary' \

@@ -25,7 +25,7 @@
 // in a round and every live node made such a promise, a program that
 // implements Skipper is advanced over the shortest promise in one Skip
 // call, and the skipped rounds are counted and traced as the quiet rounds
-// they stand for. A Message is a pointer-free value; each node queues
+// they stand for, with the span marks Skip made for them at their offsets. A Message is a pointer-free value; each node queues
 // its sends in a reused outbox, where a whole broadcast is one entry, and
 // delivery counting-sorts them by destination into one flat inbox, of
 // which every node's Recv is a range. A round whose sends are all
@@ -162,10 +162,11 @@ type StepProgram[T any] interface {
 // the engine may jump over. After a round in which no node queued a
 // message and every live node called Node.Idle, the engine takes the
 // shortest promise K and calls Skip(nd, K) on every live program instead
-// of stepping rounds t+1…t+K. Skip must leave the program exactly as K
-// Steps with empty inboxes would have left it, and must not send, mark a
-// span, draw randomness or allocate. It runs on the coordinator at the
-// barrier of the round in which the promises were made.
+// of stepping rounds t+1…t+K. Skip must leave the program, and the span
+// marks, exactly as K Steps with empty inboxes would have left them, and
+// must not send, draw randomness or allocate. It runs on the coordinator,
+// in id order, at the barrier of round t (nd.Round() reports t), and makes
+// the marks those Steps would make through Node.SpanBeginAt/SpanEndAt.
 //
 // The engine skips only when every program of the run is a Skipper;
 // otherwise every round is stepped and Idle calls are ignored.
@@ -199,9 +200,11 @@ type nodePanic struct{ err error }
 type Node struct {
 	id  int
 	eng *engine
-	// rng is created lazily on the first Rand call: a rand.Source carries a
-	// multi-kilobyte state vector, so eagerly seeding every node costs
-	// gigabytes at n ≈ 10⁶ while deterministic algorithms never draw at all.
+	// rng is created on the first Rand call, in O(1) time and a few dozen
+	// bytes (see rand.go): it yields rand.NewSource's stream without
+	// seeding that source's 4.9 KB register, which only a node drawing
+	// more than 273 values ever builds. Deterministic algorithms never
+	// create one.
 	rng *rand.Rand
 
 	// sh points at this node's shard staging buffers during a sharded round
@@ -264,10 +267,11 @@ func (nd *Node) Weight() int64 { return nd.eng.g.Weight(nd.id) }
 
 // Rand returns this node's private deterministic random stream (created on
 // first use; the stream depends only on Config.Seed and the node id, never
-// on the shard count).
+// on the shard count). It is exactly the stream of
+// rand.New(rand.NewSource(s)) for the node's seed s, created in O(1).
 func (nd *Node) Rand() *rand.Rand {
 	if nd.rng == nil {
-		nd.rng = rand.New(rand.NewSource(nd.eng.seedBase + int64(nd.id) + 1))
+		nd.rng = newNodeRand(nd.eng.seedBase + int64(nd.id) + 1)
 	}
 	return nd.rng
 }
@@ -386,10 +390,11 @@ func (nd *Node) fastBroadcast(m Message, to, count int) {
 }
 
 // Idle promises that for the next k rounds, as long as this node's inbox
-// stays empty, its Step sends nothing, marks no span, draws no randomness,
-// and neither finishes nor fails. It may be called during Step; calling it
-// again in the same Step keeps the shorter promise, and k < 1 promises
-// nothing. A promise lasts for the round it was made in only: a node that
+// stays empty, its Step sends nothing, draws no randomness, and neither
+// finishes nor fails; the span marks those Steps would make, the program's
+// Skip makes through SpanBeginAt/SpanEndAt. It may be called during Step;
+// calling it again in the same Step keeps the shorter promise, and k < 1
+// promises nothing. A promise lasts for the round it was made in only: a node that
 // stays idle calls Idle again in every Step. See Skipper for how the engine
 // uses the promises.
 func (nd *Node) Idle(k int) {
@@ -435,6 +440,21 @@ func (nd *Node) SpanEnd(name string, index int) {
 		return
 	}
 	nd.eng.spanEnd(name, index)
+}
+
+// SpanBeginAt is SpanBegin for a Skipper's Skip(nd, k): it makes the mark
+// that the Step of skipped round t+j would make, t being the round the skip
+// follows. It is valid only inside Skip, with 1 ≤ j ≤ k; any other use fails
+// the node. The engine replays the marks of the skipped rounds in round
+// order, each round's in id order and then call order, which is the order
+// the Steps would have made them in. A nil tracer makes it a no-op.
+func (nd *Node) SpanBeginAt(j int, name string, index int) {
+	nd.eng.markAt(nd, j, spanMark{name: name, index: index})
+}
+
+// SpanEndAt is SpanEnd for a Skipper's Skip, as SpanBeginAt is SpanBegin.
+func (nd *Node) SpanEndAt(j int, name string, index int) {
+	nd.eng.markAt(nd, j, spanMark{name: name, index: index, end: true})
 }
 
 // Recv returns the messages delivered at the start of the current round

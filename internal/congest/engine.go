@@ -101,6 +101,21 @@ type engine struct {
 	// marks collapse into one network-wide span event on the 0→1 and →0
 	// transitions. Few spans are open at once, so a slice beats a map.
 	spans []openSpan
+
+	// Marks made inside Skip (Node.SpanBeginAt/SpanEndAt): skipK is the
+	// length of the skip in progress (0 outside one), skipMarks the staged
+	// marks in call order, and skipCount/skipSorted the reused buffers of
+	// their sort by offset (see sortSkipMarks).
+	skipK      int
+	skipMarks  []skipMark
+	skipCount  []int32
+	skipSorted []skipMark
+}
+
+// skipMark is a span mark staged by Skip for skipped round t+at.
+type skipMark struct {
+	at int
+	spanMark
 }
 
 // openSpan is one open span instance and its count of per-node marks.
@@ -143,6 +158,67 @@ func (e *engine) spanEnd(name string, index int) {
 		}
 		return
 	}
+}
+
+// markAt stages node nd's mark for skipped round t+j of the skip in
+// progress; outside a skip, or at an offset outside 1..k, it fails the
+// node. The staged marks are replayed by traceSkipped.
+func (e *engine) markAt(nd *Node, j int, mk spanMark) {
+	if e.skipK == 0 {
+		panic(nodePanic{fmt.Errorf("congest: node %d: span mark at an offset outside Skip", nd.id)})
+	}
+	if j < 1 || j > e.skipK {
+		panic(nodePanic{fmt.Errorf("congest: node %d: span mark at offset %d outside the skip's 1..%d", nd.id, j, e.skipK)})
+	}
+	if e.tracer != nil {
+		e.skipMarks = append(e.skipMarks, skipMark{at: j, spanMark: mk})
+	}
+}
+
+// traceSkipped traces the k rounds skipped after round as stepping them
+// would have: in each skipped round, the marks staged for it, then its
+// quiet Round event. No message moves during a skip, so every mark's
+// message snapshot is the current count.
+func (e *engine) traceSkipped(round, k, live int) {
+	marks := e.sortSkipMarks(k)
+	for j := 1; j <= k && (e.wantRounds || len(marks) > 0); j++ {
+		e.round = round + j
+		for ; len(marks) > 0 && marks[0].at == j; marks = marks[1:] {
+			if marks[0].end {
+				e.spanEnd(marks[0].name, marks[0].index)
+			} else {
+				e.spanBegin(marks[0].name, marks[0].index)
+			}
+		}
+		e.traceRound(round+j, live)
+	}
+}
+
+// sortSkipMarks returns the staged marks of a k-round skip ordered by
+// offset with a stable counting sort over 1..k: Skip runs in id order, so
+// within an offset the marks stay in id order and then call order, the
+// order stepping makes them in.
+func (e *engine) sortSkipMarks(k int) []skipMark {
+	marks := e.skipMarks
+	e.skipMarks = marks[:0]
+	if len(marks) == 0 {
+		return nil
+	}
+	// skipCount[j] counts the marks before offset j, then is j's cursor.
+	e.skipCount = slices.Grow(e.skipCount[:0], k+2)[:k+2]
+	clear(e.skipCount)
+	for _, mk := range marks {
+		e.skipCount[mk.at+1]++
+	}
+	for j := 1; j <= k+1; j++ {
+		e.skipCount[j] += e.skipCount[j-1]
+	}
+	e.skipSorted = slices.Grow(e.skipSorted[:0], len(marks))[:len(marks)]
+	for _, mk := range marks {
+		e.skipSorted[e.skipCount[mk.at]] = mk
+		e.skipCount[mk.at]++
+	}
+	return e.skipSorted
 }
 
 // traceRunStart emits the run-start event, if a tracer is attached.
@@ -425,9 +501,15 @@ func (s *sweeper[T]) skipIdle(limit int) (k int, err error) {
 		return 0, nil
 	}
 	i := 0
+	e.skipK = k
 	defer func() {
+		e.skipK = 0
 		if r := recover(); r != nil {
-			err = fmt.Errorf("congest: node %d panicked in Skip: %v [%s]", i, r, obs.StackSummary(2, 6))
+			if np, ok := r.(nodePanic); ok {
+				err = np.err
+			} else {
+				err = fmt.Errorf("congest: node %d panicked in Skip: %v [%s]", i, r, obs.StackSummary(2, 6))
+			}
 		}
 	}()
 	for ; i < len(s.progs); i++ {
@@ -447,8 +529,9 @@ func (s *sweeper[T]) skipIdle(limit int) (k int, err error) {
 //
 // skip, nil unless every program is a Skipper, is consulted after each
 // round that queued no message. The rounds it skips are counted and traced
-// as the quiet rounds they stand for, and are capped so that the MaxRounds
-// abort fires at the same round as it would without skipping.
+// as the quiet rounds they stand for, with the span marks the programs'
+// Skip calls made for them, and are capped so that the MaxRounds abort
+// fires at the same round as it would without skipping.
 func (e *engine) run(sweep func(lo, hi int) int, skip func(limit int) (int, error)) error {
 	n := len(e.nodes)
 	sweepRound := func() int { return sweep(0, n) }
@@ -487,11 +570,7 @@ func (e *engine) run(sweep func(lo, hi int) int, skip func(limit int) (int, erro
 			return err
 		}
 		e.stats.Rounds += k
-		if e.wantRounds {
-			for j := 1; j <= k; j++ {
-				e.traceRound(round+j, live)
-			}
-		}
+		e.traceSkipped(round, k, live)
 		round += k
 	}
 }

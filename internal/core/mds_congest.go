@@ -82,7 +82,7 @@ func approxMDSCongest(g *graph.Graph, opts *MDSOptions, run nodeRunner) (*Result
 	}
 	res, err := run(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		prog := &mdsCongestProgram{mdsParams: *p}
-		prog.startPhase(nd)
+		prog.startPhase(nd, 0)
 		return prog
 	})
 	if err != nil {
@@ -199,10 +199,19 @@ const (
 // estimate, rank, vote and cover stages carry nothing; the hop maximum
 // sends only positive and rising values (ρ̃ is 0 at a vertex with nothing
 // left to cover), and the cover flood relays each phase's first flag only.
-// The program therefore promises the rest of such a stage to the engine as
-// idle (congest.Node.Idle) and implements congest.Skipper, so the engine
-// jumps over the silent rounds instead of stepping every node through them.
-// Stage changes mark spans or draw ranks, so they are always stepped.
+// The program therefore promises such stretches to the engine as idle
+// (congest.Node.Idle) and implements congest.Skipper, so the engine jumps
+// over the silent rounds instead of stepping every node through them. A
+// node promises the rest of its current stage; a covered node whose phase
+// has gone silent promises every round up to the head of the last phase,
+// since nothing reaches it again unless some other node speaks. Every phase
+// lasts phaseLen rounds at every node, so Skip crosses a silent stage
+// change the way an empty-inbox Step would, and whole silent phases by
+// their counter alone.
+//
+// The phase schedule is global, so one node keeps the span clock: only
+// node 0 marks mds-phase, mds-estimate and mds-votes, and inside Skip it
+// marks them at their offsets (congest.Node.SpanBeginAt).
 type mdsCongestProgram struct {
 	mdsParams
 
@@ -246,11 +255,43 @@ type mdsCongestProgram struct {
 	covRound        int
 }
 
+// phaseLen is the length of every phase in rounds: r chained rpow-round
+// coverage floods, the 2·rpow-hop maximum, rpow rank floods, r chained
+// rpow-round vote floods and rpow cover rounds, each stage starting in the
+// round its predecessor closes. Phase q's head, the round whose Step starts
+// it, is round q·phaseLen.
+func (p *mdsParams) phaseLen() int { return p.rpow * (2*p.r + 4) }
+
+// spanBegin marks the start of the current phase's span name at skipped
+// round t+at from inside Skip, or at the current round when at is 0. Only
+// node 0 marks.
+func (p *mdsCongestProgram) spanBegin(nd *congest.Node, at int, name string) {
+	switch {
+	case nd.ID() != 0:
+	case at > 0:
+		nd.SpanBeginAt(at, name, p.phase)
+	default:
+		nd.SpanBegin(name, p.phase)
+	}
+}
+
+// spanEnd is spanBegin's closing mark.
+func (p *mdsCongestProgram) spanEnd(nd *congest.Node, at int, name string) {
+	switch {
+	case nd.ID() != 0:
+	case at > 0:
+		nd.SpanEndAt(at, name, p.phase)
+	default:
+		nd.SpanEnd(name, p.phase)
+	}
+}
+
 // startPhase resets the per-phase estimator state and stages the first
-// coverage min-flood (its send is queued by the next Step call).
-func (p *mdsCongestProgram) startPhase(nd *congest.Node) {
-	nd.SpanBegin("mds-phase", p.phase)
-	nd.SpanBegin("mds-estimate", p.phase)
+// coverage min-flood (its send is queued by the next Step call); at is as
+// for spanBegin.
+func (p *mdsCongestProgram) startPhase(nd *congest.Node, at int) {
+	p.spanBegin(nd, at, "mds-phase")
+	p.spanBegin(nd, at, "mds-estimate")
 	p.minima = p.minima[:0]
 	p.sawAny = true
 	p.j = 0
@@ -281,7 +322,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 	if p.step(nd) {
 		return true, nil
 	}
-	nd.Idle(p.idle())
+	nd.Idle(p.promise(nd.Round()))
 	return false, nil
 }
 
@@ -311,36 +352,12 @@ func (p *mdsCongestProgram) step(nd *congest.Node) bool {
 				p.flood.Restart(p.coverageSample(nd), p.qWidth)
 				continue
 			}
-			p.dTilde = 0
-			p.rho = 0
-			if p.sawAny && len(p.minima) == p.r {
-				p.dTilde = estimate.FromMinima(p.minima)
-				if p.dTilde > float64(p.n) {
-					p.dTilde = float64(p.n) // clamp: can never cover more than n
-				}
-				p.rho = estimate.RoundUpPow2(p.dTilde)
-			}
-			nd.SpanEnd("mds-estimate", p.phase)
-			p.hop.Restart(p.rho, p.idw+2, 2*p.rpow)
-			p.sub = mdsHop
+			p.endEstimate(nd, 0)
 		case mdsHop:
 			if !p.hop.Step(nd) {
 				return false
 			}
-			p.candidate = p.rho > 0 && p.rho >= p.hop.Max()
-			var myRank int64 = -1
-			if p.candidate {
-				myRank = nd.Rand().Int63n(p.rankMax)
-			}
-			p.rank.Restart(myRank, int64(nd.ID()), p.rankW, p.idw)
-			p.rankStage = 0
-			p.routes = p.routes[:0]
-			p.prevBestID = -1
-			if p.candidate {
-				p.routes = append(p.routes, primitives.CandRoute{Cand: nd.ID(), From: -1, Lvl: 0})
-				p.prevBestID = nd.ID()
-			}
-			p.sub = mdsRank
+			p.endHop(nd)
 		case mdsRank:
 			if !p.rank.Step(nd) {
 				return false
@@ -363,18 +380,7 @@ func (p *mdsCongestProgram) step(nd *congest.Node) bool {
 				p.rankStage++
 				continue
 			}
-			_, idR := p.rank.Best()
-			p.voteFor = -1
-			if !p.covered && idR >= 0 {
-				p.voteFor = int(idR)
-			}
-			p.voteMinima = p.voteMinima[:0]
-			p.gotVotes = true
-			p.j = 0
-			p.prepareVotes()
-			p.votes.Restart(p.voteSample(nd))
-			nd.SpanBegin("mds-votes", p.phase)
-			p.sub = mdsVotes
+			p.endRank(nd, 0)
 		case mdsVotes:
 			if !p.votes.Step(nd) {
 				return false
@@ -389,30 +395,7 @@ func (p *mdsCongestProgram) step(nd *congest.Node) bool {
 				p.votes.Restart(p.voteSample(nd))
 				continue
 			}
-			// Step 5: join on votes ≥ C̃_v/8.
-			p.joined = false
-			if p.candidate && p.gotVotes && len(p.voteMinima) == p.r {
-				votes := estimate.FromMinima(p.voteMinima)
-				if votes > float64(p.n) {
-					votes = float64(p.n)
-				}
-				if votes >= p.dTilde/8 {
-					p.inDS = true
-					p.joined = true
-					p.covered = true
-				}
-			}
-			// Step 6: rpow-round coverage flood from new members. Each
-			// node sends at most one flag per phase: a member at once, any
-			// other node when the first flag reaches it (a second flag
-			// carries nothing its neighbors have not heard).
-			p.flagged = p.joined
-			if p.joined {
-				nd.BroadcastNeighbors(congest.Flag())
-			}
-			nd.SpanEnd("mds-votes", p.phase)
-			p.covRound = 0
-			p.sub = mdsCover
+			p.endVotes(nd, 0)
 			return false
 		default: // mdsCover
 			if p.covRound < p.rpow-1 {
@@ -429,20 +412,117 @@ func (p *mdsCongestProgram) step(nd *congest.Node) bool {
 			if len(nd.Recv()) > 0 {
 				p.covered = true
 			}
-			nd.SpanEnd("mds-phase", p.phase)
-			p.phase++
-			if p.phase < p.phases {
-				p.startPhase(nd)
-				continue
+			if p.endPhase(nd, 0) {
+				return true
 			}
-			// Unconditional feasibility: leftover uncovered vertices join.
-			if !p.covered {
-				p.inDS = true
-				p.fallback = true
-			}
-			return true
 		}
 	}
+}
+
+// The stage changes, shared by step and by Skip's silent stage changes; at
+// is as for spanBegin.
+
+// endEstimate closes step 1 with the coverage estimate and starts step 2.
+func (p *mdsCongestProgram) endEstimate(nd *congest.Node, at int) {
+	p.dTilde = 0
+	p.rho = 0
+	if p.sawAny && len(p.minima) == p.r {
+		p.dTilde = estimate.FromMinima(p.minima)
+		if p.dTilde > float64(p.n) {
+			p.dTilde = float64(p.n) // clamp: can never cover more than n
+		}
+		p.rho = estimate.RoundUpPow2(p.dTilde)
+	}
+	p.spanEnd(nd, at, "mds-estimate")
+	p.hop.Restart(p.rho, p.idw+2, 2*p.rpow)
+	p.sub = mdsHop
+}
+
+// endHop closes step 2, drawing a rank if this node became a candidate, and
+// starts step 3.
+func (p *mdsCongestProgram) endHop(nd *congest.Node) {
+	p.candidate = p.becomesCandidate()
+	var myRank int64 = -1
+	if p.candidate {
+		myRank = nd.Rand().Int63n(p.rankMax)
+	}
+	p.rank.Restart(myRank, int64(nd.ID()), p.rankW, p.idw)
+	p.rankStage = 0
+	p.routes = p.routes[:0]
+	p.prevBestID = -1
+	if p.candidate {
+		p.routes = append(p.routes, primitives.CandRoute{Cand: nd.ID(), From: -1, Lvl: 0})
+		p.prevBestID = nd.ID()
+	}
+	p.sub = mdsRank
+}
+
+// becomesCandidate reports whether closing the hop maximum now makes this
+// node a candidate: its ρ̃ is positive and maximal within 2·rpow hops.
+func (p *mdsCongestProgram) becomesCandidate() bool {
+	return p.rho > 0 && p.rho >= p.hop.Max()
+}
+
+// endRank closes step 3, fixing this node's vote, and starts step 4.
+func (p *mdsCongestProgram) endRank(nd *congest.Node, at int) {
+	_, idR := p.rank.Best()
+	p.voteFor = -1
+	if !p.covered && idR >= 0 {
+		p.voteFor = int(idR)
+	}
+	p.voteMinima = p.voteMinima[:0]
+	p.gotVotes = true
+	p.j = 0
+	p.prepareVotes()
+	p.votes.Restart(p.voteSample(nd))
+	p.spanBegin(nd, at, "mds-votes")
+	p.sub = mdsVotes
+}
+
+// endVotes closes step 4, joins on enough votes (step 5), and starts the
+// step-6 coverage flood, whose first flags it queues.
+func (p *mdsCongestProgram) endVotes(nd *congest.Node, at int) {
+	// Step 5: join on votes ≥ C̃_v/8.
+	p.joined = false
+	if p.candidate && p.gotVotes && len(p.voteMinima) == p.r {
+		votes := estimate.FromMinima(p.voteMinima)
+		if votes > float64(p.n) {
+			votes = float64(p.n)
+		}
+		if votes >= p.dTilde/8 {
+			p.inDS = true
+			p.joined = true
+			p.covered = true
+		}
+	}
+	// Step 6: rpow-round coverage flood from new members. Each node sends
+	// at most one flag per phase: a member at once, any other node when the
+	// first flag reaches it (a second flag carries nothing its neighbors
+	// have not heard).
+	p.flagged = p.joined
+	if p.joined {
+		nd.BroadcastNeighbors(congest.Flag())
+	}
+	p.spanEnd(nd, at, "mds-votes")
+	p.covRound = 0
+	p.sub = mdsCover
+}
+
+// endPhase closes the phase and starts the next one, or, after the last,
+// lets a still uncovered node join (unconditional feasibility) and reports
+// that the node finished.
+func (p *mdsCongestProgram) endPhase(nd *congest.Node, at int) bool {
+	p.spanEnd(nd, at, "mds-phase")
+	p.phase++
+	if p.phase < p.phases {
+		p.startPhase(nd, at)
+		return false
+	}
+	if !p.covered {
+		p.inDS = true
+		p.fallback = true
+	}
+	return true
 }
 
 // idle returns how many coming rounds this node stays silent in its current
@@ -475,11 +555,86 @@ func (p *mdsCongestProgram) idle() int {
 	return 0
 }
 
-// Skip implements congest.Skipper: it advances the current stage over k
-// silent rounds, k ≤ idle(), exactly as k Steps on empty inboxes would.
-// Within a chain of floods, every flood that closes yields no value and the
-// next restarts empty, so only the chain's counters move.
-func (p *mdsCongestProgram) Skip(_ *congest.Node, k int) {
+// promise returns the idle promise after the Step of round t. A covered
+// node whose current stage is idle and which will not become a candidate
+// when it closes stays silent, if nothing reaches it, in every later stage
+// and phase too (it draws no sample, votes for nobody and relays no flag),
+// so it promises every round before the head of the last phase, which is
+// stepped in full. Any other node promises its stage's idle rounds.
+func (p *mdsCongestProgram) promise(t int) int {
+	k := p.idle()
+	if k == 0 || !p.covered || p.phase >= p.phases-1 || (p.sub == mdsHop && p.becomesCandidate()) {
+		return k
+	}
+	return (p.phases-1)*p.phaseLen() - t - 1
+}
+
+// Skip implements congest.Skipper: it advances over k silent rounds, k ≤
+// promise(), exactly as k Steps on empty inboxes would. Within its promised
+// stage it skips as skipStage does. Past the stage (a promise that runs to
+// the last phase) it makes each silent stage change as an empty-inbox Step
+// would, with node 0 marking its spans at their offsets; a node other than
+// node 0 crosses all but the last of several whole phases from a phase head
+// by the phase counter alone, and the stage changes of the phase it then
+// crosses reset every stage's state as stepping would have left it.
+func (p *mdsCongestProgram) Skip(nd *congest.Node, k int) {
+	for at := 0; k > 0; {
+		if nd.ID() != 0 && p.sub == mdsEstimate && p.j == 0 && p.floodStage == 0 {
+			// At a phase head (after its Step).
+			if m := k/p.phaseLen() - 1; m > 0 {
+				p.phase += m
+				at += m * p.phaseLen()
+				k -= m * p.phaseLen()
+			}
+		}
+		a := p.idle()
+		if k <= a {
+			p.skipStage(k)
+			return
+		}
+		p.skipStage(a)
+		at += a + 1
+		k -= a + 1
+		p.closeStage(nd, at)
+	}
+}
+
+// closeStage makes the stage-closing Step of skipped round t+at with an
+// empty inbox, for a node that promised past its stage (see promise): the
+// stage's last flood closes empty, and the next stage's first slice sends
+// nothing.
+func (p *mdsCongestProgram) closeStage(nd *congest.Node, at int) {
+	switch p.sub {
+	case mdsEstimate:
+		p.sawAny = false
+		p.j++
+		p.endEstimate(nd, at)
+		p.hop.Skip(1)
+	case mdsHop:
+		p.endHop(nd)
+		p.rank.Skip(1)
+	case mdsRank:
+		if p.rankStage == 0 {
+			p.candNbrs = p.candNbrs[:0]
+		}
+		p.rank.Restart(-1, -1, p.rankW, p.idw)
+		p.endRank(nd, at)
+		p.votes.Skip(1)
+	case mdsVotes:
+		p.gotVotes = false
+		p.j++
+		p.endVotes(nd, at)
+	case mdsCover:
+		p.endPhase(nd, at)
+		p.flood.Skip(1)
+	}
+}
+
+// skipStage advances the current stage over k silent rounds, k ≤ idle(),
+// exactly as k Steps on empty inboxes would. Within a chain of floods,
+// every flood that closes yields no value and the next restarts empty, so
+// only the chain's counters move.
+func (p *mdsCongestProgram) skipStage(k int) {
 	switch p.sub {
 	case mdsEstimate:
 		closed, into := skipChain(k, p.flood.Idle(), 1)

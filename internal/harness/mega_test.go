@@ -24,12 +24,13 @@ const (
 // same seed derivation as Spec.Expand under rootSeed 20 — and asserts
 // the golden run summary.  A drift in rounds, messages, bits, solution,
 // or span structure here means the checked-in BENCH_mega.json no longer
-// describes the code.  Gated behind MEGA_SMOKE (the cell runs the full
-// w.h.p. MDS phase budget, ~10 minutes on one core); run via
+// describes the code.  Gated behind MEGA_SMOKE (the cell counts the full
+// w.h.p. MDS phase budget; with the silent phases skipped it takes about
+// half a minute and 0.3 GB on a 2-vCPU Xeon); run via
 // `make sweep-mega-smoke`.
 func TestMegaGoldenSummary(t *testing.T) {
 	if os.Getenv("MEGA_SMOKE") == "" {
-		t.Skip("golden 100k MDS cell: ~10 minutes; run via make sweep-mega-smoke")
+		t.Skip("golden 100k MDS cell: about half a minute; run via make sweep-mega-smoke")
 	}
 	j := Job{
 		Generator: GeneratorSpec{Name: "connected-gnm"},
